@@ -7,12 +7,10 @@ from .blackbox import (
     SparsePolynomial,
     evaluate,
     format_instance,
-    is_diverse,
     parse_instance,
     poly_equal,
     random_sparse_polynomial,
     read_instance,
-    scale_variables,
     sparse_polynomial,
     write_instance,
 )

@@ -31,9 +31,6 @@ class SparsePolynomial:
     def term_count(self) -> int:
         return len(self.terms)
 
-    def coefficients(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.terms)
-
 
 def sparse_polynomial(n: int, terms: Sequence[Term], ctx: FieldContext) -> SparsePolynomial:
     """Canonicalize terms: reduce coefficients mod p, merge duplicate
@@ -65,29 +62,6 @@ def evaluate(f: SparsePolynomial, point: Sequence[int], ctx: FieldContext) -> in
                 term = term * pow(x, k, p) % p
         total = (total + term) % p
     return total
-
-
-def scale_variables(f: SparsePolynomial, zeta: Sequence[int], ctx: FieldContext) -> SparsePolynomial:
-    """The polynomial f(zeta_1*x_1, ..., zeta_n*x_n): same monomials,
-    coefficient i multiplied by prod_k zeta_k^{e_{i,k}}."""
-    if len(zeta) != f.n:
-        raise ValueError("scaling vector length does not match variable count")
-    p = ctx.p
-    if any(z % p == 0 for z in zeta):
-        raise ValueError("scaling factors must be nonzero")
-    terms = []
-    for c, e in f.terms:
-        for z, k in zip(zeta, e):
-            if k:
-                c = c * pow(z, k, p) % p
-        terms.append((c, e))
-    return SparsePolynomial(f.n, tuple(terms))
-
-
-def is_diverse(f: SparsePolynomial) -> bool:
-    """True iff all coefficients are pairwise distinct."""
-    coeffs = f.coefficients()
-    return len(set(coeffs)) == len(coeffs)
 
 
 def poly_equal(f: SparsePolynomial, g: SparsePolynomial) -> bool:

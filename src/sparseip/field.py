@@ -107,7 +107,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 class FieldContext:
     """A prime modulus p together with the factorization of p - 1.
 
-    Immutable; all arithmetic methods are pure and safe for concurrent use.
+    Immutable, so safe to share between threads.
     """
 
     p: int
@@ -121,36 +121,12 @@ class FieldContext:
             raise ValueError(f"{p} is not prime")
         return cls(p, tuple(factorize(p - 1)))
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(a, -1, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def pow(self, base: int, exponent: int) -> int:
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        return pow(base, exponent, self.p)
-
 
 def is_primitive_root(ctx: FieldContext, g: int) -> bool:
     """True iff g has multiplicative order exactly p - 1."""
     g %= ctx.p
     if g == 0:
         return False
-    if ctx.p == 2:
-        return True
     return all(pow(g, (ctx.p - 1) // r, ctx.p) != 1 for r, _ in ctx.order_factorization)
 
 

@@ -12,10 +12,11 @@ import math
 import random
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .blackbox import EvaluationOracle, SparsePolynomial, sparse_polynomial
 from .field import (
@@ -86,16 +87,15 @@ def probe_sequence(
     return seq
 
 
-class _StageClock:
-    """Accumulates per-stage wall time in microseconds."""
-
-    def __init__(self, timings: dict[str, int]):
-        self.timings = timings
-
-    def add(self, stage: str, t0: float) -> None:
-        self.timings[stage] = self.timings.get(stage, 0) + int(
-            (time.perf_counter() - t0) * 1e6
-        )
+@contextmanager
+def _timed(timings: dict[str, int], stage: str) -> Iterator[None]:
+    """Adds the wall time of the block to timings[stage] in microseconds,
+    also when the block raises."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[stage] = timings.get(stage, 0) + int((time.perf_counter() - t0) * 1e6)
 
 
 def mc_pairs(
@@ -115,28 +115,21 @@ def mc_pairs(
     Raises InterpolationFailure on repeated/missing roots or a zero
     recovered coefficient.
     """
-    clock = _StageClock(timings if timings is not None else {})
-    t0 = time.perf_counter()
-    seq = probe_sequence(oracle, alpha, zeta, T, ctx, omega=omega, shift_var=shift_var)
-    clock.add("probe", t0)
-
-    t0 = time.perf_counter()
-    rec = berlekamp_massey(seq, ctx)
-    clock.add("bm", t0)
+    if timings is None:
+        timings = {}
+    with _timed(timings, "probe"):
+        seq = probe_sequence(oracle, alpha, zeta, T, ctx, omega=omega, shift_var=shift_var)
+    with _timed(timings, "bm"):
+        rec = berlekamp_massey(seq, ctx)
     if rec.t == 0:
         return []
-
-    t0 = time.perf_counter()
     try:
-        roots = find_distinct_roots(list(rec.lam), ctx, rng)
+        with _timed(timings, "roots"):
+            roots = find_distinct_roots(list(rec.lam), ctx, rng)
     except TooFewRootsError as exc:
-        clock.add("roots", t0)
         raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, str(exc)) from exc
-    clock.add("roots", t0)
-
-    t0 = time.perf_counter()
-    coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
-    clock.add("vand", t0)
+    with _timed(timings, "vand"):
+        coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
     if any(c == 0 for c in coeffs):
         raise InterpolationFailure(
             FailReason.ZERO_COEFFICIENT, "recovered a zero scaled coefficient"
@@ -181,8 +174,11 @@ def interpolate(
     discrete log and each coefficient by undoing the variable scaling.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
-    (then it warns and proceeds; the probability guarantee is void).
-    Detectable assumption violations yield a Fail report, never an exception.
+    (then it warns and proceeds; the probability guarantee is void), and
+    ValueError on malformed arguments. Detectable assumption violations
+    yield a Fail report, never an exception. The one internal error that can
+    escape is solvers.SplittingBudgetError, and only when rng keeps giving
+    draws that do not split a factor of the annihilator.
     """
     if n < 1 or T < 1 or D < 1:
         raise ValueError("need n >= 1, T >= 1, D >= 1")
@@ -225,7 +221,6 @@ def interpolate(
         "omega": omega,
     }
     probes_before = oracle.probe_count
-    clock = _StageClock(timings)
     outcome: Optional[SparsePolynomial] = None
     reason: Optional[FailReason] = None
     try:
@@ -249,31 +244,29 @@ def interpolate(
                     FailReason.COEFFICIENT_MISMATCH,
                     f"variable {k}: shifted coefficient list disagrees with base run",
                 )
-            t0 = time.perf_counter()
-            for i, ((_, vk), v) in enumerate(zip(shifted, values)):
-                if v == 0:
-                    raise InterpolationFailure(
-                        FailReason.DLOG_OUT_OF_RANGE, "zero monomial value"
-                    )
-                ratio = vk * pow(v, -1, p) % p
-                e = bounded_dlog(ctx, omega, ratio, D)
-                if e is None:
-                    raise InterpolationFailure(
-                        FailReason.DLOG_OUT_OF_RANGE,
-                        f"variable {k}, term {i}: no exponent in [0, {D}]",
-                    )
-                exponents[i][k - 1] = e
-            clock.add("dlog", t0)
-        t0 = time.perf_counter()
-        terms = []
-        for ctil, exps in zip(coeff_list, exponents):
-            scale = 1
-            for z, e in zip(zeta, exps):
-                if e:
-                    scale = scale * pow(z, e, p) % p
-            terms.append((ctil * pow(scale, -1, p) % p, tuple(exps)))
-        outcome = sparse_polynomial(n, terms, ctx)
-        clock.add("assembly", t0)
+            with _timed(timings, "dlog"):
+                for i, ((_, vk), v) in enumerate(zip(shifted, values)):
+                    if v == 0:
+                        raise InterpolationFailure(
+                            FailReason.DLOG_OUT_OF_RANGE, "zero monomial value"
+                        )
+                    ratio = vk * pow(v, -1, p) % p
+                    e = bounded_dlog(ctx, omega, ratio, D)
+                    if e is None:
+                        raise InterpolationFailure(
+                            FailReason.DLOG_OUT_OF_RANGE,
+                            f"variable {k}, term {i}: no exponent in [0, {D}]",
+                        )
+                    exponents[i][k - 1] = e
+        with _timed(timings, "assembly"):
+            terms = []
+            for ctil, exps in zip(coeff_list, exponents):
+                scale = 1
+                for z, e in zip(zeta, exps):
+                    if e:
+                        scale = scale * pow(z, e, p) % p
+                terms.append((ctil * pow(scale, -1, p) % p, tuple(exps)))
+            outcome = sparse_polynomial(n, terms, ctx)
     except InterpolationFailure as exc:
         reason = exc.reason
     probes = oracle.probe_count - probes_before

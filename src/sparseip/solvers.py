@@ -169,11 +169,6 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
         return []
     if lam[-1] != 1:
         raise ValueError("polynomial must be monic")
-    if p == 2:
-        roots = [x for x in (0, 1) if eval_dense(lam, x, ctx) == 0]
-        if len(roots) < t:
-            raise TooFewRootsError(f"{len(roots)} distinct roots for degree {t}")
-        return roots
     xp = _ppowmod([0, 1], p, lam, p)
     xp_minus_x = list(xp)
     if len(xp_minus_x) < 2:

@@ -7,11 +7,9 @@ from sparseip.blackbox import (
     EvaluationOracle,
     evaluate,
     format_instance,
-    is_diverse,
     parse_instance,
     poly_equal,
     random_sparse_polynomial,
-    scale_variables,
     sparse_polynomial,
 )
 from sparseip.field import FieldContext
@@ -59,44 +57,6 @@ def test_evaluate_empty():
 def test_evaluate_wrong_arity():
     with pytest.raises(ValueError):
         evaluate(EXAMPLE, (1, 2), P101)
-
-
-def test_scale_constant_term_unchanged():
-    g = scale_variables(EXAMPLE, (34, 29, 89), P101)
-    assert (1, (0, 0, 0)) in g.terms
-
-
-def test_scale_identity():
-    assert poly_equal(scale_variables(EXAMPLE, (1, 1, 1), P101), EXAMPLE)
-
-
-def test_scale_rejects_zero():
-    with pytest.raises(ValueError):
-        scale_variables(EXAMPLE, (0, 1, 1), P101)
-
-
-def test_scale_evaluation_identity():
-    rng = random.Random(21)
-    for _ in range(100):
-        zeta = [rng.randrange(1, 101) for _ in range(3)]
-        x = [rng.randrange(101) for _ in range(3)]
-        g = scale_variables(EXAMPLE, zeta, P101)
-        zx = [z * xi % 101 for z, xi in zip(zeta, x)]
-        assert evaluate(g, x, P101) == evaluate(EXAMPLE, zx, P101)
-
-
-def test_scale_involution():
-    rng = random.Random(22)
-    for _ in range(50):
-        zeta = [rng.randrange(1, 101) for _ in range(3)]
-        inv = [pow(z, -1, 101) for z in zeta]
-        assert poly_equal(scale_variables(scale_variables(EXAMPLE, zeta, P101), inv, P101), EXAMPLE)
-
-
-def test_is_diverse():
-    assert is_diverse(sparse_polynomial(1, [(1, (0,)), (54, (1,)), (50, (2,))], P101))
-    assert not is_diverse(sparse_polynomial(2, [(1, (1, 0)), (1, (0, 1))], P101))
-    assert is_diverse(sparse_polynomial(1, [(7, (3,))], P101))
 
 
 def test_poly_equal():

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
-from sparseip.field import FieldContext
+from sparseip.field import FieldContext, is_primitive_root
 from sparseip.solvers import (
+    SplittingBudgetError,
     TooFewRootsError,
     berlekamp_massey,
     eval_dense,
@@ -126,6 +128,38 @@ def test_roots_match_brute_force_small_fields():
                 lam = new
             brute = [x for x in range(p) if eval_dense(lam, x, ctx) == 0]
             assert find_distinct_roots(lam, ctx, rng) == brute == roots
+
+
+def test_roots_and_primitive_root_at_p2():
+    # p = 2 takes the general path: gcd(z^2 - z, lam) has degree <= 2, and the
+    # factor z(z + 1) splits off its zero root without drawing from rng.
+    ctx = FieldContext.for_prime(2)
+    assert is_primitive_root(ctx, 1)
+    assert not is_primitive_root(ctx, 0)
+    for deg in range(1, 6):
+        for low in itertools.product(range(2), repeat=deg):
+            lam = [*low, 1]
+            brute = [x for x in range(2) if eval_dense(lam, x, ctx) == 0]
+            rng = random.Random(13)
+            state = rng.getstate()
+            if len(brute) == deg:
+                assert find_distinct_roots(lam, ctx, rng) == brute
+            else:
+                with pytest.raises(TooFewRootsError):
+                    find_distinct_roots(lam, ctx, rng)
+            assert rng.getstate() == state
+
+
+class _ZeroRandom(random.Random):
+    def randrange(self, *args, **kwargs):
+        return 0
+
+
+def test_roots_splitting_budget_escapes_on_stuck_rng():
+    # (z - 1)(z - 4): both roots are squares mod 101, so delta = 0 never
+    # splits the factor and the retry budget runs out.
+    with pytest.raises(SplittingBudgetError):
+        find_distinct_roots([4, 96, 1], P101, _ZeroRandom())
 
 
 def test_vandermonde_golden():
