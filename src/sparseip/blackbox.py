@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .field import FieldContext, sample_nonzero
+from .field import FieldContext, check_modulus, sample_nonzero
 
 Term = tuple[int, tuple[int, ...]]
 
@@ -144,7 +144,7 @@ def parse_instance(text: str) -> tuple[SparsePolynomial, int, int]:
     p, n, t, D = (int(x) for x in header)
     if len(lines) - 1 != t:
         raise ValueError(f"expected {t} term lines, found {len(lines) - 1}")
-    ctx = FieldContext.for_prime(p)
+    check_modulus(p)
     terms = []
     for ln in lines[1:]:
         parts = [int(x) for x in ln.split()]
@@ -156,10 +156,9 @@ def parse_instance(text: str) -> tuple[SparsePolynomial, int, int]:
         if any(x < 0 or x > D for x in e):
             raise ValueError(f"exponent out of range in line {ln!r}")
         terms.append((c, e))
-    f = sparse_polynomial(n, terms, ctx)
-    if f.term_count != t:
-        raise ValueError("terms are not in canonical form (duplicates or zeros)")
-    return f, p, D
+    if len({e for _, e in terms}) != t:
+        raise ValueError("two term lines share a monomial")
+    return SparsePolynomial(n, tuple(sorted(terms, key=lambda term: term[1]))), p, D
 
 
 def write_instance(f: SparsePolynomial, p: int, D: int, path: str) -> None:

@@ -30,7 +30,12 @@ from .interpolator import (
     mc_pairs,
     probe_sequence,
 )
-from .solvers import berlekamp_massey, find_distinct_roots, solve_transposed_vandermonde
+from .solvers import (
+    berlekamp_massey,
+    find_distinct_roots,
+    roots_by_coefficient,
+    solve_transposed_vandermonde,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,6 +117,13 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
         check(f"shifted values k={k}", g["value_rows"][k], row)
         ratios = tuple(vk * pow(v, -1, ctx.p) % ctx.p for vk, v in zip(row, values))
         check(f"ratio row k={k}", g["ratio_rows"][k], ratios)
+        shifted_seq = probe_sequence(
+            oracle, g["alpha"], g["zeta"], g["T"], ctx, omega=g["omega"], shift_var=k,
+        )
+        by_coeff = roots_by_coefficient(
+            berlekamp_massey(shifted_seq, ctx).lam, shifted_seq, [c for c, _ in pairs], ctx,
+        )
+        check(f"values by coefficient k={k}", list(g["value_rows"][k]), by_coeff)
 
     full_oracle = EvaluationOracle.from_polynomial(hidden, ctx)
     with warnings.catch_warnings():
@@ -291,6 +303,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         payload = {
             "outcome": "success" if report.succeeded else "fail",
             "fail_reason": report.fail_reason.value if report.fail_reason else None,
+            "fail_detail": report.fail_detail,
             "match": match,
             "probes": report.probes,
             "stage_timings_us": report.stage_timings,
@@ -305,7 +318,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
         if report.succeeded:
             sys.stdout.write(format_instance(report.outcome, p, D))
         else:
-            print(f"Fail: {report.fail_reason.value}")
+            print(f"Fail: {report.fail_reason.value} ({report.fail_detail})")
         print(f"probes: {report.probes}")
         print("timing_us: " + " ".join(f"{k}={report.stage_timings[k]}" for k in STAGES))
         print(f"match: {'yes' if match else 'no'}")

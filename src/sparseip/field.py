@@ -103,6 +103,15 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return sorted(factors.items())
 
 
+def check_modulus(p: int) -> None:
+    """Raise ValueError unless p is a prime below 2^MAX_MODULUS_BITS. Does
+    not factor p - 1."""
+    if p.bit_length() > MAX_MODULUS_BITS:
+        raise ValueError(f"modulus must be below 2^{MAX_MODULUS_BITS}")
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 @dataclass(frozen=True)
 class FieldContext:
     """A prime modulus p together with the factorization of p - 1.
@@ -115,10 +124,7 @@ class FieldContext:
 
     @classmethod
     def for_prime(cls, p: int) -> "FieldContext":
-        if p.bit_length() > MAX_MODULUS_BITS:
-            raise ValueError(f"modulus must be below 2^{MAX_MODULUS_BITS}")
-        if not is_probable_prime(p):
-            raise ValueError(f"{p} is not prime")
+        check_modulus(p)
         return cls(p, tuple(factorize(p - 1)))
 
 

@@ -3,7 +3,10 @@
 Two layers: mc_pairs recovers the sorted (scaled coefficient, monomial value)
 pairs from one run of 2T probes; interpolate drives the base run plus one
 per-variable shifted run, matches terms by their (diverse) coefficients, and
-extracts exponents via bounded discrete logs.
+extracts exponents via bounded discrete logs. Only the base run finds the
+roots of its annihilator. A shifted run has the same scaled coefficients, so
+it reads off each term's shifted value with one gcd per known coefficient,
+and falls back to root finding only to classify a run that will Fail.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .solvers import (
     TooFewRootsError,
     berlekamp_massey,
     find_distinct_roots,
+    roots_by_coefficient,
     solve_transposed_vandermonde,
 )
 
@@ -108,9 +112,17 @@ def mc_pairs(
     omega: Optional[int] = None,
     shift_var: Optional[int] = None,
     timings: Optional[dict[str, int]] = None,
+    coeffs: Optional[Sequence[int]] = None,
 ) -> list[tuple[int, int]]:
     """One probing run: 2T probes, minimal recurrence, annihilator roots,
     transposed Vandermonde solve; returns [(c~, v)] sorted ascending by c~.
+
+    With coeffs, the run's scaled coefficients are expected to be coeffs (a
+    shifted run knows them from the base run): each value v is then read off
+    by one gcd per coefficient (solvers.roots_by_coefficient), with no root
+    finding. Only when that fails does the run go through root finding and
+    the solve, on the same probes, to classify it; the result is the same as
+    without coeffs either way.
 
     Raises InterpolationFailure on repeated/missing roots or a zero
     recovered coefficient.
@@ -123,13 +135,18 @@ def mc_pairs(
         rec = berlekamp_massey(seq, ctx)
     if rec.t == 0:
         return []
-    try:
+    roots = None
+    if coeffs is not None:
         with _timed(timings, "roots"):
-            roots = find_distinct_roots(list(rec.lam), ctx, rng)
-    except TooFewRootsError as exc:
-        raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, str(exc)) from exc
-    with _timed(timings, "vand"):
-        coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
+            roots = roots_by_coefficient(rec.lam, seq, coeffs, ctx)
+    if roots is None:
+        try:
+            with _timed(timings, "roots"):
+                roots = find_distinct_roots(list(rec.lam), ctx, rng)
+        except TooFewRootsError as exc:
+            raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, str(exc)) from exc
+        with _timed(timings, "vand"):
+            coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
     if any(c == 0 for c in coeffs):
         raise InterpolationFailure(
             FailReason.ZERO_COEFFICIENT, "recovered a zero scaled coefficient"
@@ -140,14 +157,15 @@ def mc_pairs(
 @dataclass
 class InterpReport:
     """Outcome of one interpolation run: the polynomial (or the failure
-    reason), exact probe count, per-stage wall time, and the configuration
-    that produced it."""
+    reason and its message), exact probe count, per-stage wall time, and the
+    configuration that produced it."""
 
     outcome: Optional[SparsePolynomial]
     fail_reason: Optional[FailReason]
     probes: int
     stage_timings: dict[str, int]
     config: dict
+    fail_detail: Optional[str] = None
 
     @property
     def succeeded(self) -> bool:
@@ -223,6 +241,7 @@ def interpolate(
     probes_before = oracle.probe_count
     outcome: Optional[SparsePolynomial] = None
     reason: Optional[FailReason] = None
+    detail: Optional[str] = None
     try:
         base = mc_pairs(oracle, alpha, zeta, T, ctx, rng, timings=timings)
         t = len(base)
@@ -237,7 +256,7 @@ def interpolate(
         for k in range(1, n + 1):
             shifted = mc_pairs(
                 oracle, alpha, zeta, T, ctx, rng,
-                omega=omega, shift_var=k, timings=timings,
+                omega=omega, shift_var=k, timings=timings, coeffs=coeff_list,
             )
             if [c for c, _ in shifted] != coeff_list:
                 raise InterpolationFailure(
@@ -268,9 +287,9 @@ def interpolate(
                 terms.append((ctil * pow(scale, -1, p) % p, tuple(exps)))
             outcome = sparse_polynomial(n, terms, ctx)
     except InterpolationFailure as exc:
-        reason = exc.reason
+        reason, detail = exc.reason, str(exc)
     probes = oracle.probe_count - probes_before
-    return InterpReport(outcome, reason, probes, timings, config)
+    return InterpReport(outcome, reason, probes, timings, config, detail)
 
 
 def success_probability_bound(n: int, T: int, D: int, q: int) -> Fraction:

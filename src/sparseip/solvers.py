@@ -1,7 +1,8 @@
 """Sequence and polynomial kernels over F_p.
 
 Minimal linear recurrence (Berlekamp-Massey), distinct-root extraction of the
-annihilator polynomial, and the transposed Vandermonde solve. Dense
+annihilator polynomial, recovery of its roots from known coefficients by one
+gcd each, and the transposed Vandermonde solve. Dense
 polynomials are plain lists of coefficients in ascending power order with no
 trailing zeros; [] is the zero polynomial.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .field import FieldContext
 
@@ -217,6 +219,52 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
                 stack.append(g2)
                 break
     return sorted(roots)
+
+
+def roots_by_coefficient(
+    lam: Sequence[int], seq: Sequence[int], coeffs: Sequence[int], ctx: FieldContext
+) -> Optional[list[int]]:
+    """The root u_j of the monic lam (as from berlekamp_massey) that carries
+    the known coefficient coeffs[j], for every j, or None.
+
+    With t = deg lam, P is the polynomial part of lam(z) * sum_i a_i z^(-i-1)
+    for a_i = seq[i], i < t (so P/lam is that sum when a satisfies lam's
+    recurrence). If a_i = sum_j c_j u_j^i with lam = prod (z - u_j), then
+    P = sum_j c_j lam/(z - u_j), hence c_j = P(u_j)/lam'(u_j), and u_j is the
+    single root of gcd(lam, P - c_j lam') (Rothstein-Trager). One gcd per
+    coefficient; no root finding, no randomness.
+
+    Returns [u_j] in coeffs order only when deg lam == len(coeffs), every gcd
+    is linear and the u_j are pairwise distinct. This happens exactly when
+    find_distinct_roots(lam) succeeds and solve_transposed_vandermonde on
+    its roots and seq[:t] returns a permutation of coeffs, and then the u_j
+    are those roots:
+    - If lam = prod (z - r_l) with distinct r_l and the solve gives d, then
+      P = sum_l d_l lam/(z - r_l), so P - c lam' takes the value
+      (d_l - c) lam'(r_l) at r_l, and lam'(r_l) != 0. Since lam is
+      squarefree, the gcd is prod over {l : d_l = c} of (z - r_l): linear
+      with root r_l for each c in coeffs when d is a permutation of
+      distinct coeffs.
+    - Conversely, t linear gcds with distinct roots u_j are t distinct
+      linear factors of the degree-t lam, so lam splits into them. The
+      solve on the u_j then gives d with P(u_j) = d_j lam'(u_j), and the
+      gcd's root says P(u_j) = c_j lam'(u_j), so d_j = c_j.
+    """
+    p = ctx.p
+    t = len(lam) - 1
+    if t != len(coeffs):
+        return None
+    poly = [sum(lam[m + i + 1] * seq[i] for i in range(t - m)) % p for m in range(t)]
+    deriv = [k * lam[k] % p for k in range(1, t + 1)]
+    roots = []
+    for c in coeffs:
+        g = _pgcd(lam, [(a - c * b) % p for a, b in zip(poly, deriv)], p)
+        if len(g) != 2:
+            return None
+        roots.append((-g[0]) % p)
+    if len(set(roots)) != t:
+        return None
+    return roots
 
 
 def solve_transposed_vandermonde(

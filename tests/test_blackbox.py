@@ -151,3 +151,14 @@ def test_instance_parse_errors():
         parse_instance("101 1 1 5\n0 3\n")  # zero coefficient
     with pytest.raises(ValueError):
         parse_instance("101 1 1 5\n7 9\n")  # exponent above D
+    with pytest.raises(ValueError):
+        parse_instance("101 1 2 5\n7 3\n8 3\n")  # repeated monomial
+    with pytest.raises(ValueError):
+        parse_instance("100 1 1 5\n7 3\n")  # modulus not prime
+    with pytest.raises(ValueError):
+        parse_instance(f"{2**89 - 1} 1 1 5\n7 3\n")  # prime above 2^62
+
+
+def test_instance_parse_sorts_terms():
+    f, _, _ = parse_instance("101 2 3 5\n9 2 0\n4 0 5\n6 1 1\n")
+    assert f.terms == ((4, (0, 5)), (6, (1, 1)), (9, (2, 0)))

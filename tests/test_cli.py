@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+from sparseip import field
 from sparseip.blackbox import poly_equal, read_instance
 from sparseip.cli import (
     CSV_COLUMNS,
@@ -74,6 +75,37 @@ def test_interpolate_json_output(tmp_path, capsys):
     assert payload["match"] is True
     assert payload["probes"] == 2 * 3 * 3
     assert set(payload["stage_timings_us"]) == {"probe", "bm", "roots", "vand", "dlog", "assembly"}
+
+
+def test_interpolate_fail_names_its_detail(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    main(["generate", "--n", "3", "--t", "5", "--D", "5", "--p", "101",
+          "--seed", "14", "--out", str(inst)])
+    capsys.readouterr()
+    detail = "variable 2: shifted coefficient list disagrees with base run"
+    code = EXIT_FAIL_CODES[FailReason.COEFFICIENT_MISMATCH]
+    assert main(["interpolate", str(inst), "--force"]) == code
+    assert f"Fail: coefficient-mismatch ({detail})" in capsys.readouterr().out.splitlines()
+    assert main(["interpolate", str(inst), "--force", "--json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fail_reason"] == "coefficient-mismatch"
+    assert payload["fail_detail"] == detail
+
+
+def test_interpolate_factors_group_order_once(tmp_path, monkeypatch):
+    inst = tmp_path / "inst.txt"
+    main(["generate", "--n", "2", "--t", "3", "--D", "5", "--p", "140122640051",
+          "--seed", "9", "--out", str(inst)])
+    calls = []
+    real_factorize = field.factorize
+
+    def counting_factorize(n):
+        calls.append(n)
+        return real_factorize(n)
+
+    monkeypatch.setattr(field, "factorize", counting_factorize)
+    assert main(["interpolate", str(inst), "--seed", "4"]) == 0
+    assert calls == [140122640050]
 
 
 def test_interpolate_larger_term_bound(tmp_path, capsys):

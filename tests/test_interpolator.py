@@ -242,6 +242,27 @@ def test_cross_run_coefficient_invariance():
             assert [c for c, _ in shifted] == [c for c, _ in base]
 
 
+def test_mc_pairs_known_coefficients_give_the_same_pairs():
+    base = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(0))
+    known = [c for c, _ in base]
+    wrong = known[:-1] + [known[-1] + 1]
+    for k in (1, 2, 3):
+        plain = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(1),
+                         omega=OMEGA, shift_var=k)
+        # known coefficients: values by gcd, and nothing drawn from rng
+        rng = random.Random(1)
+        state = rng.getstate()
+        oracle = _oracle()
+        timings = {}
+        assert mc_pairs(oracle, ALPHA, ZETA, 5, P101, rng, omega=OMEGA, shift_var=k,
+                        timings=timings, coeffs=known) == plain
+        assert rng.getstate() == state and oracle.probe_count == 10
+        assert "roots" in timings and "vand" not in timings
+        # a list the run does not carry: root finding classifies the run
+        assert mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(1),
+                        omega=OMEGA, shift_var=k, coeffs=wrong) == plain
+
+
 def test_dlog_consistency_on_success():
     ctx = FieldContext.for_prime(140122640051)
     rng = random.Random(11)

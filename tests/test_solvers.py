@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from sparseip.solvers import (
     berlekamp_massey,
     eval_dense,
     find_distinct_roots,
+    roots_by_coefficient,
     solve_transposed_vandermonde,
 )
 
@@ -160,6 +162,52 @@ def test_roots_splitting_budget_escapes_on_stuck_rng():
     # splits the factor and the retry budget runs out.
     with pytest.raises(SplittingBudgetError):
         find_distinct_roots([4, 96, 1], P101, _ZeroRandom())
+
+
+def test_roots_by_coefficient_golden():
+    # the worked example's roots carry coefficients (1, 54, 50, 43, 33)
+    coeffs = [1, 33, 43, 50, 54]
+    assert roots_by_coefficient(LAMBDA_101, SEQ_101, coeffs, P101) == [1, 84, 43, 11, 2]
+    assert roots_by_coefficient(LAMBDA_101, SEQ_101, [1, 33, 43, 50, 55], P101) is None
+    assert roots_by_coefficient(LAMBDA_101, SEQ_101, coeffs[:4], P101) is None
+
+
+def test_roots_by_coefficient_matches_root_finding_brute_force():
+    # Every monic lam of degree t <= 3 over F_5 and every window of t probes.
+    # The kernel must return roots exactly when root finding plus the solve
+    # succeed and give back the same coefficient list, and then the same
+    # roots. Its verdict depends only on the set of coefficients, so at t = 3
+    # each set is tried in sorted order, and every order of the sets it
+    # accepts is checked.
+    p = 5
+    ctx = FieldContext.for_prime(p)
+    rng = random.Random(15)
+    accepted = set()
+    for t in (1, 2, 3):
+        pick = itertools.permutations if t < 3 else itertools.combinations
+        coeff_lists = list(pick(range(1, p), t))
+        for low in itertools.product(range(p), repeat=t):
+            lam = [*low, 1]
+            try:
+                roots = find_distinct_roots(lam, ctx, rng)
+            except TooFewRootsError:
+                roots = None
+            for window in itertools.product(range(p), repeat=t):
+                solved = {}
+                if roots is not None:
+                    d = solve_transposed_vandermonde(roots, list(window), ctx)
+                    solved = dict(zip(d, roots))
+                for coeffs in coeff_lists:
+                    if sorted(solved) != sorted(coeffs):
+                        assert roots_by_coefficient(lam, window, coeffs, ctx) is None
+                        continue
+                    accepted.add((tuple(lam), window))
+                    for order in itertools.permutations(coeffs):
+                        found = roots_by_coefficient(lam, window, order, ctx)
+                        assert found == [solved[c] for c in order]
+    # accepted: t distinct roots (C(5, t) choices) times the ordered lists of
+    # t distinct nonzero coefficients (4!/(4-t)!) that the window encodes
+    assert len(accepted) == sum(math.comb(5, t) * math.perm(4, t) for t in (1, 2, 3))
 
 
 def test_vandermonde_golden():
