@@ -22,7 +22,7 @@ from .blackbox import (
     sparse_polynomial,
     write_instance,
 )
-from .field import FieldContext
+from .field import FieldContext, baby_steps, bounded_dlog
 from .interpolator import (
     FailReason,
     STAGES,
@@ -124,6 +124,11 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
             berlekamp_massey(shifted_seq, ctx).lam, shifted_seq, [c for c, _ in pairs], ctx,
         )
         check(f"values by coefficient k={k}", list(g["value_rows"][k]), by_coeff)
+
+    baby = baby_steps(ctx, g["omega"], g["D"])
+    for k in (1, 2, 3):
+        dlogs = tuple(bounded_dlog(ctx, g["omega"], r, g["D"], baby) for r in g["ratio_rows"][k])
+        check(f"exponent row by shared table k={k}", g["exponent_rows"][k], dlogs)
 
     full_oracle = EvaluationOracle.from_polynomial(hidden, ctx)
     with warnings.catch_warnings():

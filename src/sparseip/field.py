@@ -2,7 +2,10 @@
 
 Field elements are plain Python ints kept as canonical residues in [0, p-1].
 A FieldContext bundles the modulus with the factored group order p-1, which
-is what primitive-root validation needs.
+is what primitive-root validation needs. The discrete log's baby-step table
+depends only on the generator and the bound, so a caller with many logs for
+one (omega, bound) builds it once with baby_steps and passes it to every
+bounded_dlog call.
 """
 
 from __future__ import annotations
@@ -154,12 +157,32 @@ def sample_nonzero(ctx: FieldContext, rng: random.Random) -> int:
     return rng.randrange(1, ctx.p)
 
 
-def bounded_dlog(ctx: FieldContext, omega: int, target: int, bound: int) -> Optional[int]:
+def baby_steps(ctx: FieldContext, omega: int, bound: int) -> dict[int, int]:
+    """The baby-step table {omega^j: j} for j <= isqrt(bound) that
+    bounded_dlog uses for this omega and bound."""
+    p = ctx.p
+    baby: dict[int, int] = {}
+    cur = 1
+    for j in range(math.isqrt(bound) + 1):
+        baby.setdefault(cur, j)
+        cur = cur * omega % p
+    return baby
+
+
+def bounded_dlog(
+    ctx: FieldContext,
+    omega: int,
+    target: int,
+    bound: int,
+    baby: Optional[dict[int, int]] = None,
+) -> Optional[int]:
     """Find the unique e in [0, bound] with omega^e = target, or None.
 
-    Baby-step/giant-step over the interval: a table of ~sqrt(bound+1) baby
+    Baby-step/giant-step over the interval: a table of isqrt(bound) + 1 baby
     steps keyed by residue, then giant steps by omega^-m. O(sqrt(bound))
-    group operations.
+    group operations. baby, if given, must be baby_steps(ctx, omega, bound);
+    it is only read, so one table serves every log for that omega and bound.
+    Without it the call builds its own.
     """
     p = ctx.p
     if bound < 0:
@@ -169,19 +192,17 @@ def bounded_dlog(ctx: FieldContext, omega: int, target: int, bound: int) -> Opti
     target %= p
     if target == 0:
         return None
+    if baby is None:
+        baby = baby_steps(ctx, omega, bound)
     m = math.isqrt(bound) + 1
-    baby: dict[int, int] = {}
-    cur = 1
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * omega % p
     giant = pow(omega, -m, p)
+    get = baby.get
     y = target
-    i = 0
-    while i * m <= bound:
-        j = baby.get(y)
-        if j is not None and i * m + j <= bound:
-            return i * m + j
+    for i in range(bound // m + 1):
+        j = get(y)
+        if j is not None:
+            # j < m, so a hit past the bound can only come at the last step
+            e = i * m + j
+            return e if e <= bound else None
         y = y * giant % p
-        i += 1
     return None

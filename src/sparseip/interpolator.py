@@ -6,7 +6,8 @@ per-variable shifted run, matches terms by their (diverse) coefficients, and
 extracts exponents via bounded discrete logs. Only the base run finds the
 roots of its annihilator. A shifted run has the same scaled coefficients, so
 it reads off each term's shifted value with one gcd per known coefficient,
-and falls back to root finding only to classify a run that will Fail.
+and falls back to root finding only to classify a run that will Fail. All
+n*t discrete logs of one call share a single baby-step table.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterator, Optional, Sequence, Union
 from .blackbox import EvaluationOracle, SparsePolynomial, sparse_polynomial
 from .field import (
     FieldContext,
+    baby_steps,
     bounded_dlog,
     find_primitive_root,
     is_primitive_root,
@@ -125,8 +127,10 @@ def mc_pairs(
     without coeffs either way.
 
     Raises InterpolationFailure on repeated/missing roots or a zero
-    recovered coefficient.
+    recovered coefficient; its message starts with the run's name, "base
+    run" or "variable k".
     """
+    run = "base run" if shift_var is None else f"variable {shift_var}"
     if timings is None:
         timings = {}
     with _timed(timings, "probe"):
@@ -144,12 +148,12 @@ def mc_pairs(
             with _timed(timings, "roots"):
                 roots = find_distinct_roots(list(rec.lam), ctx, rng)
         except TooFewRootsError as exc:
-            raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, str(exc)) from exc
+            raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, f"{run}: {exc}") from exc
         with _timed(timings, "vand"):
             coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
     if any(c == 0 for c in coeffs):
         raise InterpolationFailure(
-            FailReason.ZERO_COEFFICIENT, "recovered a zero scaled coefficient"
+            FailReason.ZERO_COEFFICIENT, f"{run}: recovered a zero scaled coefficient"
         )
     return sorted(zip(coeffs, roots))
 
@@ -189,7 +193,9 @@ def interpolate(
     Samples alpha, zeta (unless pinned), runs the base mc_pairs plus one
     shifted run per variable, matches terms positionally after checking the
     sorted coefficient lists agree, recovers each exponent by a bounded
-    discrete log and each coefficient by undoing the variable scaling.
+    discrete log and each coefficient by undoing the variable scaling. The
+    baby-step table for (omega, D) is built once, when the first discrete
+    log is due, and shared by all of them; it does not outlive the call.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
     (then it warns and proceeds; the probability guarantee is void), and
@@ -253,6 +259,7 @@ def interpolate(
                 "scaled coefficients are not pairwise distinct; matching is ambiguous",
             )
         exponents = [[0] * n for _ in range(t)]
+        baby = None
         for k in range(1, n + 1):
             shifted = mc_pairs(
                 oracle, alpha, zeta, T, ctx, rng,
@@ -270,7 +277,9 @@ def interpolate(
                             FailReason.DLOG_OUT_OF_RANGE, "zero monomial value"
                         )
                     ratio = vk * pow(v, -1, p) % p
-                    e = bounded_dlog(ctx, omega, ratio, D)
+                    if baby is None:
+                        baby = baby_steps(ctx, omega, D)
+                    e = bounded_dlog(ctx, omega, ratio, D, baby)
                     if e is None:
                         raise InterpolationFailure(
                             FailReason.DLOG_OUT_OF_RANGE,

@@ -2,9 +2,9 @@
 
 Minimal linear recurrence (Berlekamp-Massey), distinct-root extraction of the
 annihilator polynomial, recovery of its roots from known coefficients by one
-gcd each, and the transposed Vandermonde solve. Dense
-polynomials are plain lists of coefficients in ascending power order with no
-trailing zeros; [] is the zero polynomial.
+gcd each (deflating by every root found), and the transposed Vandermonde
+solve. Dense polynomials are plain lists of coefficients in ascending power
+order with no trailing zeros; [] is the zero polynomial.
 """
 
 from __future__ import annotations
@@ -124,6 +124,17 @@ def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
     return _pdivmod(a, m, p)[1]
 
 
+def _pdiv_linear(a: list[int], u: int, p: int) -> list[int]:
+    """Quotient of a by (z - u), synthetic division; the remainder a(u) is
+    dropped."""
+    q = [0] * (len(a) - 1)
+    acc = 0
+    for j in range(len(a) - 1, 0, -1):
+        acc = (a[j] + acc * u) % p
+        q[j - 1] = acc
+    return q
+
+
 def _pmonic(a: list[int], p: int) -> list[int]:
     a = _trim(list(a))
     if a and a[-1] != 1:
@@ -232,7 +243,9 @@ def roots_by_coefficient(
     recurrence). If a_i = sum_j c_j u_j^i with lam = prod (z - u_j), then
     P = sum_j c_j lam/(z - u_j), hence c_j = P(u_j)/lam'(u_j), and u_j is the
     single root of gcd(lam, P - c_j lam') (Rothstein-Trager). One gcd per
-    coefficient; no root finding, no randomness.
+    coefficient; no root finding, no randomness. After each root u is found
+    for c, lam and P are deflated: lam becomes lam/(z - u) and P becomes
+    (P - c lam/(z - u))/(z - u), so each later gcd runs one degree lower.
 
     Returns [u_j] in coeffs order only when deg lam == len(coeffs), every gcd
     is linear and the u_j are pairwise distinct. This happens exactly when
@@ -243,25 +256,34 @@ def roots_by_coefficient(
       P = sum_l d_l lam/(z - r_l), so P - c lam' takes the value
       (d_l - c) lam'(r_l) at r_l, and lam'(r_l) != 0. Since lam is
       squarefree, the gcd is prod over {l : d_l = c} of (z - r_l): linear
-      with root r_l for each c in coeffs when d is a permutation of
-      distinct coeffs.
-    - Conversely, t linear gcds with distinct roots u_j are t distinct
-      linear factors of the degree-t lam, so lam splits into them. The
-      solve on the u_j then gives d with P(u_j) = d_j lam'(u_j), and the
-      gcd's root says P(u_j) = c_j lam'(u_j), so d_j = c_j.
+      with root r_l when d is a permutation of distinct coeffs and
+      c = d_l. Deflating that term leaves lam1 = lam/(z - r_l) and
+      P1 = sum over l' != l of d_l' lam1/(z - r_l'), the same structure one
+      degree lower, so every later gcd is linear too.
+    - Conversely, t linear gcds peel t linear factors off the degree-t lam,
+      so lam = prod (z - u_j), squarefree as the u_j are distinct. The solve
+      on the u_j gives d with P = sum_j d_j lam/(z - u_j). Suppose that
+      before step j, lam_j = prod over l >= j of (z - u_l) and
+      P_j = sum over l >= j of d_l lam_j/(z - u_l), as at j = 1. The gcd's
+      root says P_j(u_j) = c_j lam_j'(u_j), while the sum gives
+      P_j(u_j) = d_j lam_j'(u_j) with lam_j'(u_j) != 0, so d_j = c_j, and
+      deflating by u_j keeps the form for step j + 1.
     """
     p = ctx.p
     t = len(lam) - 1
     if t != len(coeffs):
         return None
     poly = [sum(lam[m + i + 1] * seq[i] for i in range(t - m)) % p for m in range(t)]
-    deriv = [k * lam[k] % p for k in range(1, t + 1)]
     roots = []
     for c in coeffs:
+        deriv = [k * lam[k] % p for k in range(1, len(lam))]
         g = _pgcd(lam, [(a - c * b) % p for a, b in zip(poly, deriv)], p)
         if len(g) != 2:
             return None
-        roots.append((-g[0]) % p)
+        u = (-g[0]) % p
+        roots.append(u)
+        lam = _pdiv_linear(lam, u, p)
+        poly = _pdiv_linear([(a - c * b) % p for a, b in zip(poly, lam)], u, p)
     if len(set(roots)) != t:
         return None
     return roots
@@ -287,12 +309,7 @@ def solve_transposed_vandermonde(
         master = _pmul(master, [(-v) % p, 1], p)
     out = []
     for v in nodes:
-        # synthetic division of master by (z - v)
-        q = [0] * t
-        acc = 0
-        for j in range(t, 0, -1):
-            acc = (master[j] + acc * v) % p
-            q[j - 1] = acc
+        q = _pdiv_linear(master, v, p)
         denom = eval_dense(q, v, ctx)
         num = sum(qj * aj for qj, aj in zip(q, rhs)) % p
         out.append(num * pow(denom, -1, p) % p)

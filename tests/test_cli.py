@@ -92,6 +92,23 @@ def test_interpolate_fail_names_its_detail(tmp_path, capsys):
     assert payload["fail_detail"] == detail
 
 
+def test_interpolate_fail_names_the_failing_run(tmp_path, capsys):
+    # T = 3 understates the five terms; the base run's annihilator does not
+    # split, and the detail says that it was the base run
+    inst = tmp_path / "inst.txt"
+    main(["generate", "--n", "3", "--t", "5", "--D", "5", "--p", "101",
+          "--seed", "1", "--out", str(inst)])
+    capsys.readouterr()
+    detail = "base run: only 1 distinct roots for degree 3"
+    code = EXIT_FAIL_CODES[FailReason.TOO_FEW_ROOTS]
+    assert main(["interpolate", str(inst), "--T", "3", "--force"]) == code
+    assert f"Fail: too-few-roots ({detail})" in capsys.readouterr().out.splitlines()
+    assert main(["interpolate", str(inst), "--T", "3", "--force", "--json"]) == code
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["fail_reason"] == "too-few-roots"
+    assert payload["fail_detail"] == detail
+
+
 def test_interpolate_factors_group_order_once(tmp_path, monkeypatch):
     inst = tmp_path / "inst.txt"
     main(["generate", "--n", "2", "--t", "3", "--D", "5", "--p", "140122640051",

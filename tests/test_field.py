@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 
 from sparseip.field import (
     FieldContext,
+    baby_steps,
     bounded_dlog,
     factorize,
     find_primitive_root,
@@ -91,6 +93,28 @@ def test_bounded_dlog_not_found():
     # 34^50 is out of range for D = 5
     assert bounded_dlog(P101, 34, pow(34, 50, 101), 5) is None
     assert bounded_dlog(P101, 34, 0, 5) is None
+
+
+def test_bounded_dlog_shared_table_agrees_with_own_table():
+    # One baby_steps table serves every lookup for its (omega, bound), and
+    # each answer equals the call that builds its own table.
+    rng = random.Random(13)
+    for p, omega, bounds in [(101, 34, (0, 1, 5, 50, 98)),
+                             (140122640051, None, (0, 7, 10**4, 10**8))]:
+        ctx = FieldContext.for_prime(p)
+        if omega is None:
+            omega = find_primitive_root(ctx, rng)
+        for bound in bounds:
+            baby = baby_steps(ctx, omega, bound)
+            assert len(baby) == math.isqrt(bound) + 1
+            exps = [0, bound, bound + 1] + [rng.randrange(bound + 1) for _ in range(20)]
+            targets = [pow(omega, e, p) for e in exps] + [0, p]
+            targets += [rng.randrange(1, p) for _ in range(20)]
+            shared = [bounded_dlog(ctx, omega, y, bound, baby) for y in targets]
+            assert shared == [bounded_dlog(ctx, omega, y, bound) for y in targets]
+            expected = [e if e <= bound else None for e in exps] + [None, None]
+            assert shared[: len(expected)] == expected
+            assert baby == baby_steps(ctx, omega, bound)  # lookups leave it as built
 
 
 def test_bounded_dlog_rejects_bad_bound():

@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 from fractions import Fraction
@@ -11,8 +12,10 @@ from sparseip.blackbox import (
     random_sparse_polynomial,
     sparse_polynomial,
 )
+from sparseip import interpolator
 from sparseip.field import FieldContext
 from sparseip.interpolator import (
+    InterpolationFailure,
     FailReason,
     FieldTooSmallError,
     interpolate,
@@ -261,6 +264,67 @@ def test_mc_pairs_known_coefficients_give_the_same_pairs():
         # a list the run does not carry: root finding classifies the run
         assert mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(1),
                         omega=OMEGA, shift_var=k, coeffs=wrong) == plain
+
+
+def test_mc_pairs_fail_names_its_run():
+    # T = 3 understates the example's five terms
+    with pytest.raises(InterpolationFailure) as base:
+        mc_pairs(_oracle(), ALPHA, ZETA, 3, P101, random.Random(0))
+    assert base.value.reason == FailReason.TOO_FEW_ROOTS
+    assert str(base.value) == "base run: only 0 distinct roots for degree 3"
+    with pytest.raises(InterpolationFailure) as shifted:
+        mc_pairs(_oracle(), ALPHA, ZETA, 3, P101, random.Random(0), omega=OMEGA, shift_var=3)
+    assert str(shifted.value) == "variable 3: only 1 distinct roots for degree 3"
+
+
+def _count_tables(monkeypatch):
+    """Record every baby_steps table interpolate builds and the table each
+    bounded_dlog call receives."""
+    built, used = [], []
+    real_baby_steps, real_bounded_dlog = interpolator.baby_steps, interpolator.bounded_dlog
+
+    def baby_steps(*args):
+        built.append(real_baby_steps(*args))
+        return built[-1]
+
+    def bounded_dlog(ctx, omega, target, bound, baby=None):
+        used.append(baby)
+        return real_bounded_dlog(ctx, omega, target, bound, baby)
+
+    monkeypatch.setattr(interpolator, "baby_steps", baby_steps)
+    monkeypatch.setattr(interpolator, "bounded_dlog", bounded_dlog)
+    return built, used
+
+
+def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
+    built, used = _count_tables(monkeypatch)
+    ctx = FieldContext.for_prime(140122640051)
+    rng = random.Random(12)
+    for n, t, D in [(3, 6, 10**6), (2, 4, 15)]:
+        f = random_sparse_polynomial(n, t, D, ctx, rng)
+        report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, t, D, ctx, rng)
+        assert report.succeeded and poly_equal(report.outcome, f)
+        assert len(built) == 1 and len(used) == n * t
+        assert all(baby is built[0] for baby in used)
+        assert len(built[0]) == math.isqrt(D) + 1
+        built.clear()
+        used.clear()
+
+
+def test_interpolate_builds_no_table_when_the_base_run_fails(monkeypatch):
+    built, used = _count_tables(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for T, zeta, reason in [
+            (3, ZETA, FailReason.TOO_FEW_ROOTS),
+            (5, (1, 1, 1), FailReason.DUPLICATE_COEFFICIENT),
+        ]:
+            report = interpolate(
+                _oracle(), 3, T, 5, P101, random.Random(0),
+                omega=OMEGA, alpha=ALPHA, zeta=zeta, force=True,
+            )
+            assert report.fail_reason == reason
+    assert built == [] and used == []
 
 
 def test_dlog_consistency_on_success():
