@@ -5,6 +5,13 @@ annihilator polynomial, recovery of its roots from known coefficients by one
 gcd each (deflating by every root found), and the transposed Vandermonde
 solve. Dense polynomials are plain lists of coefficients in ascending power
 order with no trailing zeros; [] is the zero polynomial.
+
+Root finding spends nearly all its time in _ppowmod, powers modulo a
+polynomial. It packs each residue into one int (Kronecker substitution), so a
+product is one CPython bigint multiply, and reduces it with a reciprocal of
+the reversed modulus computed once per modulus (von zur Gathen & Gerhard,
+Modern Computer Algebra, 8.4 and 9.1). The gcds keep schoolbook division:
+their quotients are mostly linear.
 """
 
 from __future__ import annotations
@@ -90,17 +97,6 @@ def berlekamp_massey(sequence: list[int], ctx: FieldContext) -> RecurrenceResult
     return RecurrenceResult(length, lam)
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
 def _pdivmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
     """Quotient and remainder by a monic divisor m."""
     a = list(a)
@@ -153,15 +149,68 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod(base, m, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        e >>= 1
-        if e:
-            base = _pmod(_pmul(base, base, p), m, p)
-    return result
+    """base^e mod the monic m of degree d >= 1.
+
+    A residue of degree < d is one int holding coefficient i in byte slot i,
+    w bytes wide, so a square or multiply is one bigint product. No slot
+    carries into the next: every coefficient of a product of two residues,
+    and of the two products in the reduction below, is a sum of at most d
+    products of two numbers below p, and w = ceil(bits(d (p - 1)^2) / 8).
+    Python ints do not overflow and w is computed from p and d, so this holds
+    at every p below 2^MAX_MODULUS_BITS = 2^62 (w <= 17 bytes up to d = 4096).
+
+    A product x = H z^d + L with deg H <= d - 2 and deg L < d is reduced with
+    inv = rev(m)^-1 mod z^(d-1), rev(m) = z^d m(1/z), computed once per call.
+    Reversed at formal degrees 2d - 2, d and d - 2, x = q m + r reads
+    rev(x) = rev(m) rev(q) + z^(d-1) rev(r), and rev(x) = rev(H) mod z^(d-1),
+    so q = rev(rev(H) inv mod z^(d-1)) and x mod m = L - (q m_low mod z^d)
+    for m_low = m - z^d. The reversals cost nothing: the big-endian bytes of a
+    packed int list its slots from the top down, and packing them little-
+    endian puts the first one in slot 0.
+    """
+    d = len(m) - 1
+    w = ((d * (p - 1) ** 2).bit_length() + 7) // 8
+    lw, hw = d * w, (d - 1) * w  # bytes of the low d and the high d - 1 slots
+    low, high = (1 << 8 * lw) - 1, (1 << 8 * hw) - 1
+    fb = int.from_bytes
+
+    def pack(coeffs: list[int]) -> int:
+        return fb(b"".join([(c % p).to_bytes(w, "little") for c in coeffs]), "little")
+
+    rev_m = m[-2::-1]  # coefficients of z, z^2, ... in rev(m); its constant is 1
+    inv = [1]
+    for _ in range(d - 2):
+        inv.append(-sum(map(int.__mul__, rev_m, reversed(inv))) % p)
+    inv_packed, m_low = pack(inv[: d - 1]), pack(m[:d])
+    high_slots, low_slots = range(0, hw, w), range(hw, hw + lw, w)
+
+    def top_reversed(buf: bytes) -> int:
+        # The first d - 1 slots of the big-endian buf, mod p, packed from slot 0 up.
+        return fb(
+            b"".join([(fb(buf[i : i + w], "big") % p).to_bytes(w, "little") for i in high_slots]),
+            "little",
+        )
+
+    def reduce(x: int) -> int:
+        bx = x.to_bytes(hw + lw, "big")
+        q = top_reversed((top_reversed(bx) * inv_packed & high).to_bytes(hw, "big"))
+        bz = (q * m_low & low).to_bytes(hw + lw, "big")
+        return fb(
+            b"".join(
+                [((fb(bx[i : i + w], "big") - fb(bz[i : i + w], "big")) % p).to_bytes(w, "big")
+                 for i in low_slots]
+            ),
+            "big",
+        )
+
+    b = pack(_pmod(base, m, p))
+    r = b if e else 1
+    for bit in bin(e)[3:]:
+        r = reduce(r * r)
+        if bit == "1":
+            r = reduce(r * b)
+    br = r.to_bytes(lw, "little")
+    return _trim([fb(br[i : i + w], "little") for i in range(0, lw, w)])
 
 
 def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -> list[int]:
@@ -305,8 +354,10 @@ def solve_transposed_vandermonde(
     if len(set(nodes)) != t:
         raise ValueError("nodes must be pairwise distinct")
     master = [1]
-    for v in nodes:
-        master = _pmul(master, [(-v) % p, 1], p)
+    for v in nodes:  # master *= z - v, in place
+        master.insert(0, 0)
+        for i in range(len(master) - 1):
+            master[i] = (master[i] - v * master[i + 1]) % p
     out = []
     for v in nodes:
         q = _pdiv_linear(master, v, p)

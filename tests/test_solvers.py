@@ -8,6 +8,7 @@ from sparseip.field import FieldContext, is_primitive_root
 from sparseip.solvers import (
     SplittingBudgetError,
     TooFewRootsError,
+    _ppowmod,
     berlekamp_massey,
     eval_dense,
     find_distinct_roots,
@@ -150,6 +151,55 @@ def test_roots_and_primitive_root_at_p2():
                 with pytest.raises(TooFewRootsError):
                     find_distinct_roots(lam, ctx, rng)
             assert rng.getstate() == state
+
+
+# The benchmark's prime and the largest prime below 2^62, whose products need
+# the widest slots the packed kernel uses.
+P37 = 140122640051
+P62 = 4611686018427387847
+
+
+def test_ppowmod_matches_sympy_gf_pow_mod():
+    # sympy (test-only oracle) lists coefficients highest first. Each base of
+    # degree d + 1 must first be reduced mod m. At d = 50 and P62 a slot one
+    # byte narrower than ceil(bits(d (p - 1)^2) / 8) overflows. d = 200 runs
+    # once: sympy takes about 2 s on it.
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_pow_mod
+
+    rng = random.Random(18)
+    cases = [(p, d) for p in (2, 3, 5, 101, P37, P62) for d in (1, 2, 3, 50)] + [(P62, 200)]
+    for p, d in cases:
+        m = [rng.randrange(p) for _ in range(d)] + [1]
+        base = [rng.randrange(p) for _ in range(d + 1)] + [rng.randrange(1, p)]
+        runs = [([0, 1], p), (base, (p - 1) // 2), (base, 0)] if d < 200 else [(base, (p - 1) // 2)]
+        for f, e in runs:
+            expected = gf_pow_mod(ZZ.map(f[::-1]), e, ZZ.map(m[::-1]), p, ZZ)
+            assert _ppowmod(f, e, m, p) == [int(c) for c in reversed(expected)], (p, d, e)
+
+
+@pytest.mark.parametrize(
+    "p, t, next_draw",
+    [
+        (P37, 30, 0.36985330980131836),
+        (P37, 60, 0.6031251016145942),
+        (P62, 30, 0.5237424868573443),
+        (P62, 60, 0.28947755948235065),
+    ],
+)
+def test_roots_of_large_degree_at_large_primes(p, t, next_draw):
+    # next_draw is rng's next value after the call, pinned from the
+    # schoolbook kernel that the packed one replaced: the kernel must not
+    # change which values the splitting draws.
+    planted = random.Random(t).sample(range(p), t)
+    lam = [1]
+    for r in planted:
+        lam.insert(0, 0)
+        for i in range(len(lam) - 1):
+            lam[i] = (lam[i] - r * lam[i + 1]) % p
+    rng = random.Random(t)
+    assert find_distinct_roots(lam, FieldContext.for_prime(p), rng) == sorted(planted)
+    assert rng.random() == next_draw
 
 
 class _ZeroRandom(random.Random):
