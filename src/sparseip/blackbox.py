@@ -142,6 +142,8 @@ def parse_instance(text: str) -> tuple[SparsePolynomial, int, int]:
     if len(header) != 4:
         raise ValueError("header must be 'p n t D'")
     p, n, t, D = (int(x) for x in header)
+    if n < 1 or D < 0:
+        raise ValueError(f"header {lines[0]!r} needs n >= 1 and D >= 0")
     if len(lines) - 1 != t:
         raise ValueError(f"expected {t} term lines, found {len(lines) - 1}")
     check_modulus(p)

@@ -255,11 +255,9 @@ def write_bench_csv(records: Sequence[BenchRecord], out: TextIO) -> None:
         groups.setdefault((r.vary, r.n, r.T, r.D, r.q), []).append(r)
     for key, rs in groups.items():
         frac = sum(1 for r in rs if r.outcome == "success") / len(rs)
-        mean = lambda attr: round(sum(getattr(r, attr) for r in rs) / len(rs))
         writer.writerow([
             *key, "mean", rs[0].seed, f"success={frac:.3f}",
-            mean("probes"), mean("us_probe"), mean("us_bm"), mean("us_roots"),
-            mean("us_vand"), mean("us_dlog"), mean("us_total"),
+            *(round(sum(getattr(r, name) for r in rs) / len(rs)) for name in CSV_COLUMNS[8:]),
         ])
 
 

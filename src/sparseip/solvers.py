@@ -10,8 +10,9 @@ Root finding spends nearly all its time in _ppowmod, powers modulo a
 polynomial. It packs each residue into one int (Kronecker substitution), so a
 product is one CPython bigint multiply, and reduces it with a reciprocal of
 the reversed modulus computed once per modulus (von zur Gathen & Gerhard,
-Modern Computer Algebra, 8.4 and 9.1). The gcds keep schoolbook division:
-their quotients are mostly linear.
+Modern Computer Algebra, 8.4 and 9.1). The gcds keep schoolbook division,
+as their quotients are mostly linear. _pdivmod divides by any nonzero
+divisor, so Euclid makes only its last remainder monic (ibid., ch. 3).
 """
 
 from __future__ import annotations
@@ -98,26 +99,20 @@ def berlekamp_massey(sequence: list[int], ctx: FieldContext) -> RecurrenceResult
 
 
 def _pdivmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder by a monic divisor m."""
+    """Quotient and remainder of a by any nonzero m without trailing zeros.
+    The leading coefficient of m is inverted once: pow(0, -1, p) raises if m
+    is not trimmed, and m = [] raises IndexError."""
     a = list(a)
     dm = len(m) - 1
-    if dm < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if dm == 0:
-        return _trim(a), []
+    inv = pow(m[-1], -1, p)
     quot = [0] * max(0, len(a) - dm)
     for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
+        c = a[i] * inv % p
         if c:
             quot[i - dm] = c
-            a[i] = 0
             for j in range(dm):
                 a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
     return _trim(quot), _trim(a[:dm])
-
-
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
-    return _pdivmod(a, m, p)[1]
 
 
 def _pdiv_linear(a: list[int], u: int, p: int) -> list[int]:
@@ -131,21 +126,17 @@ def _pdiv_linear(a: list[int], u: int, p: int) -> list[int]:
     return q
 
 
-def _pmonic(a: list[int], p: int) -> list[int]:
-    a = _trim(list(a))
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-        a[-1] = 1
-    return a
-
-
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of a and b, which need not be trimmed; gcd(0, 0) = [].
+
+    Euclid divides by each remainder as it comes: a mod b is the same for
+    every nonzero multiple of b, so only the last remainder is made monic.
+    """
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        b = _pmonic(b, p)
-        a, b = b, _pmod(a, b, p)
-    return _pmonic(a, p)
+        a, b = b, _pdivmod(a, b, p)[1]
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
 
 
 def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
@@ -203,7 +194,7 @@ def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
             "big",
         )
 
-    b = pack(_pmod(base, m, p))
+    b = pack(_pdivmod(base, m, p)[1])
     r = b if e else 1
     for bit in bin(e)[3:]:
         r = reduce(r * r)
@@ -214,12 +205,14 @@ def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
 
 
 def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -> list[int]:
-    """All roots of a monic polynomial, required to be simple and to account
-    for the full degree.
+    """All roots of a monic polynomial with coefficients in [0, p), as
+    berlekamp_massey gives them, required to be simple and to account for
+    the full degree.
 
     Computes g = gcd(z^p - z, lam); if deg g < deg lam the polynomial has
-    repeated or non-linear factors and TooFewRootsError is raised. g is then
-    split into linear factors by random (z+delta)^((p-1)/2) splittings.
+    repeated or non-linear factors and TooFewRootsError is raised. Otherwise
+    g == lam, which is split into linear factors by random
+    (z+delta)^((p-1)/2) splittings.
     Returns the roots sorted ascending.
     """
     p = ctx.p
@@ -231,12 +224,9 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
         return []
     if lam[-1] != 1:
         raise ValueError("polynomial must be monic")
-    xp = _ppowmod([0, 1], p, lam, p)
-    xp_minus_x = list(xp)
-    if len(xp_minus_x) < 2:
-        xp_minus_x += [0] * (2 - len(xp_minus_x))
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    g = _pgcd(xp_minus_x, lam, p)
+    xp = _ppowmod([0, 1], p, lam, p) + [0, 0]
+    xp[1] = (xp[1] - 1) % p
+    g = _pgcd(xp, lam, p)
     if len(g) - 1 < t:
         raise TooFewRootsError(f"only {len(g) - 1} distinct roots for degree {t}")
     # Equal-degree splitting down to linear factors. Expected O(log t)
@@ -245,18 +235,16 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
     attempts = 0
     half = (p - 1) // 2
     roots: list[int] = []
-    stack = [g]
+    stack = [lam]  # g is monic of degree t, so g == lam
     while stack:
         h = stack.pop()
-        d = len(h) - 1
-        if d <= 0:
-            continue
+        d = len(h) - 1  # >= 1: lam and every proper factor pushed below
         if d == 1:
             roots.append((-h[0]) % p)
             continue
         if h[0] == 0:
             roots.append(0)
-            stack.append(_trim(h[1:]))
+            stack.append(h[1:])
             continue
         while True:
             attempts += 1
@@ -265,12 +253,9 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
                     f"no proper split of a degree-{d} factor after {attempts} attempts"
                 )
             delta = rng.randrange(p)
+            # Never zero: h has distinct roots in F_p, not all -delta (half = 0 at p = 2).
             w = _ppowmod([delta, 1], half, h, p)
-            if w:
-                w[0] = (w[0] - 1) % p
-                w = _trim(w)
-            else:
-                w = [p - 1]
+            w[0] = (w[0] - 1) % p
             g1 = _pgcd(w, h, p)
             if 0 < len(g1) - 1 < d:
                 g2, rem = _pdivmod(h, g1, p)

@@ -2,6 +2,7 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseip.blackbox import (
     EvaluationOracle,
@@ -157,6 +158,55 @@ def test_instance_parse_errors():
         parse_instance("100 1 1 5\n7 3\n")  # modulus not prime
     with pytest.raises(ValueError):
         parse_instance(f"{2**89 - 1} 1 1 5\n7 3\n")  # prime above 2^62
+
+
+def test_instance_parse_rejects_bad_header_bounds():
+    with pytest.raises(ValueError, match="header '101 -1 0 5'"):
+        parse_instance("101 -1 0 5\n")  # no variables
+    with pytest.raises(ValueError, match="header '101 2 0 -3'"):
+        parse_instance("101 2 0 -3\n")  # negative degree bound
+
+
+MUTATION_FIELDS = [FieldContext.for_prime(p) for p in (2, 3, 101, 140122640051)]
+
+
+def _parses_or_raises_value_error(text):
+    try:
+        f, _, D = parse_instance(text)
+    except ValueError:
+        return
+    assert f.n >= 1 and D >= 0
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.text())
+def test_instance_parse_arbitrary_text_raises_only_value_error(text):
+    _parses_or_raises_value_error(text)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_instance_parse_mutated_instance_raises_only_value_error(data):
+    # A valid instance file with one token replaced, or one line replaced,
+    # deleted or repeated.
+    ctx = data.draw(st.sampled_from(MUTATION_FIELDS))
+    p = ctx.p
+    n, D = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    t = data.draw(st.integers(1, min(4, (D + 1) ** n, p - 1)))
+    f = random_sparse_polynomial(n, t, D, ctx, random.Random(data.draw(st.integers(0, 99))))
+    lines = [ln.split() for ln in format_instance(f, p, D).splitlines()]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    junk = st.one_of(st.integers(-(10**20), 10**20).map(str), st.text(max_size=6))
+    kind = data.draw(st.sampled_from(["token", "line", "delete", "repeat"]))
+    if kind == "token":
+        lines[i][data.draw(st.integers(0, len(lines[i]) - 1))] = data.draw(junk)
+    elif kind == "line":
+        lines[i] = [data.draw(junk)]
+    elif kind == "delete":
+        del lines[i]
+    else:
+        lines.insert(i, lines[i])
+    _parses_or_raises_value_error("\n".join(" ".join(ln) for ln in lines) + "\n")
 
 
 def test_instance_parse_sorts_terms():

@@ -178,6 +178,14 @@ def test_bench_csv_schema(tmp_path):
     summaries = [r for r in rows[1:] if r[5] == "mean"]
     assert len(summaries) == 2
     assert all(r[7].startswith("success=") for r in summaries)
+    # every numeric column of a summary row is the rounded mean of its trials
+    assert CSV_COLUMNS[8:] == ["probes", "us_probe", "us_bm", "us_roots", "us_vand",
+                               "us_dlog", "us_total"]
+    for s in summaries:
+        trials = [r for r in rows[1:] if r[:5] == s[:5] and r[5] != "mean"]
+        assert len(trials) == 2
+        for col in range(8, len(CSV_COLUMNS)):
+            assert int(s[col]) == round(sum(int(r[col]) for r in trials) / len(trials))
 
 
 def test_bench_deterministic_success_and_probes():

@@ -8,6 +8,8 @@ from sparseip.field import FieldContext, is_primitive_root
 from sparseip.solvers import (
     SplittingBudgetError,
     TooFewRootsError,
+    _pdivmod,
+    _pgcd,
     _ppowmod,
     berlekamp_massey,
     eval_dense,
@@ -176,6 +178,47 @@ def test_ppowmod_matches_sympy_gf_pow_mod():
         for f, e in runs:
             expected = gf_pow_mod(ZZ.map(f[::-1]), e, ZZ.map(m[::-1]), p, ZZ)
             assert _ppowmod(f, e, m, p) == [int(c) for c in reversed(expected)], (p, d, e)
+
+
+def _poly(rng, deg, p):
+    # ascending coefficients, degree deg with a random nonzero leading one
+    return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+
+def test_pdivmod_matches_sympy_gf_div_for_any_nonzero_divisor():
+    # Divisors are not monic, constants included, and some dividends are of
+    # lower degree than the divisor or carry trailing zeros.
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_div
+
+    rng = random.Random(19)
+    for p in (2, 3, 101, P37, P62):
+        for da, dm in ((0, 0), (4, 0), (1, 1), (6, 2), (2, 5), (7, 7), (12, 4)):
+            a, m = _poly(rng, da, p), _poly(rng, dm, p)
+            q, r = gf_div(ZZ.map(a[::-1]), ZZ.map(m[::-1]), p, ZZ)
+            expected = ([int(c) for c in reversed(q)], [int(c) for c in reversed(r)])
+            assert _pdivmod(a, m, p) == expected, (p, da, dm)
+            assert _pdivmod(a + [0, 0], m, p) == expected, (p, da, dm)
+        assert _pdivmod([], _poly(rng, 3, p), p) == ([], [])
+
+
+def test_pgcd_matches_sympy_gf_gcd():
+    # Operands share a planted factor and have non-monic leading
+    # coefficients; _pgcd trims their trailing zeros and returns the monic
+    # gcd, as gf_gcd does. A zero operand gives the other one made monic.
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcd, gf_mul
+
+    rng = random.Random(20)
+    for p in (2, 3, 101, P37, P62):
+        for dg, du, dv in ((0, 3, 2), (1, 0, 4), (2, 3, 3), (5, 6, 1), (3, 0, 0)):
+            g = ZZ.map(_poly(rng, dg, p)[::-1])
+            a = [int(c) for c in reversed(gf_mul(g, ZZ.map(_poly(rng, du, p)[::-1]), p, ZZ))]
+            b = [int(c) for c in reversed(gf_mul(g, ZZ.map(_poly(rng, dv, p)[::-1]), p, ZZ))]
+            for x, y in ((a, b), (b, a), (a, []), ([], b)):
+                expected = gf_gcd(ZZ.map(x[::-1]), ZZ.map(y[::-1]), p, ZZ)
+                assert _pgcd(x + [0], y + [0, 0], p) == [int(c) for c in reversed(expected)]
+        assert _pgcd([0], [], p) == []
 
 
 @pytest.mark.parametrize(
