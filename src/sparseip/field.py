@@ -2,10 +2,13 @@
 
 Field elements are plain Python ints kept as canonical residues in [0, p-1].
 A FieldContext bundles the modulus with the factored group order p-1, which
-is what primitive-root validation needs. The discrete log's baby-step table
-depends only on the generator and the bound, so a caller with many logs for
-one (omega, bound) builds it once with baby_steps and passes it to every
-bounded_dlog call.
+is what primitive-root validation needs. The discrete log over [0, D] first
+reads e mod s from the subgroup of order s, the largest divisor of p-1 that
+is at most isqrt(D) + 1, then walks baby-step/giant-step over the D/s
+candidates left: one pow plus at most isqrt(D // s) + 1 giant steps. Its
+tables, s + isqrt(D // s) + 1 entries, depend only on the generator and the
+bound, so a caller with many logs for one (omega, D) builds them once with
+baby_steps and passes them to every bounded_dlog call.
 """
 
 from __future__ import annotations
@@ -157,16 +160,36 @@ def sample_nonzero(ctx: FieldContext, rng: random.Random) -> int:
     return rng.randrange(1, ctx.p)
 
 
-def baby_steps(ctx: FieldContext, omega: int, bound: int) -> dict[int, int]:
-    """The baby-step table {omega^j: j} for j <= isqrt(bound) that
-    bounded_dlog uses for this omega and bound."""
-    p = ctx.p
-    baby: dict[int, int] = {}
+# (s, subgroup table, baby steps), as baby_steps builds them
+DlogTables = tuple[int, dict[int, int], dict[int, int]]
+
+
+def _power_table(g: int, count: int, p: int) -> dict[int, int]:
+    """{g^j: j} for j < count."""
+    table: dict[int, int] = {}
     cur = 1
-    for j in range(math.isqrt(bound) + 1):
-        baby.setdefault(cur, j)
-        cur = cur * omega % p
-    return baby
+    for j in range(count):
+        table[cur] = j
+        cur = cur * g % p
+    return table
+
+
+def baby_steps(ctx: FieldContext, omega: int, bound: int) -> DlogTables:
+    """The tables bounded_dlog uses for this omega and bound: (s, sub, baby).
+
+    s is the largest divisor of p - 1 that is at most isqrt(bound) + 1, taken
+    from ctx.order_factorization. sub is {gamma^j: j} for j < s, where
+    gamma = omega^((p-1)/s) has order exactly s; baby is {(omega^s)^j: j} for
+    j <= isqrt(bound // s). Together s + isqrt(bound // s) + 1 entries.
+    """
+    p = ctx.p
+    cap = math.isqrt(bound) + 1
+    divisors = [1]
+    for q, mult in ctx.order_factorization:
+        divisors = [d * q**i for d in divisors for i in range(mult + 1) if d * q**i <= cap]
+    s = max(divisors)
+    sub = _power_table(pow(omega, (p - 1) // s, p), s, p)
+    return s, sub, _power_table(pow(omega, s, p), math.isqrt(bound // s) + 1, p)
 
 
 def bounded_dlog(
@@ -174,15 +197,19 @@ def bounded_dlog(
     omega: int,
     target: int,
     bound: int,
-    baby: Optional[dict[int, int]] = None,
+    baby: Optional[DlogTables] = None,
 ) -> Optional[int]:
-    """Find the unique e in [0, bound] with omega^e = target, or None.
+    """Find the unique e in [0, bound] with omega^e = target, or None, for a
+    generator omega of F_p^*.
 
-    Baby-step/giant-step over the interval: a table of isqrt(bound) + 1 baby
-    steps keyed by residue, then giant steps by omega^-m. O(sqrt(bound))
-    group operations. baby, if given, must be baby_steps(ctx, omega, bound);
-    it is only read, so one table serves every log for that omega and bound.
-    Without it the call builds its own.
+    With (s, sub, baby) = baby_steps(ctx, omega, bound): one pow,
+    target^((p-1)/s) = gamma^(e mod s), and one lookup in sub give
+    r = e mod s (Pohlig-Hellman). Then e = r + s*k, and baby-step/giant-step
+    by omega^(-s*m), m = isqrt(bound // s) + 1, finds k in
+    [0, (bound - r) // s] from target * omega^-r in at most
+    isqrt(bound // s) + 1 giant steps. baby, if given, must be
+    baby_steps(ctx, omega, bound); it is only read, so one table serves every
+    log for that omega and bound. Without it the call builds its own.
     """
     p = ctx.p
     if bound < 0:
@@ -194,15 +221,19 @@ def bounded_dlog(
         return None
     if baby is None:
         baby = baby_steps(ctx, omega, bound)
-    m = math.isqrt(bound) + 1
-    giant = pow(omega, -m, p)
-    get = baby.get
-    y = target
-    for i in range(bound // m + 1):
+    s, sub, steps = baby
+    # r < s <= isqrt(bound) + 1, so r <= bound
+    r = sub[pow(target, (p - 1) // s, p)]
+    last = (bound - r) // s
+    m = math.isqrt(bound // s) + 1
+    giant = pow(omega, -s * m, p)
+    get = steps.get
+    y = target * pow(omega, -r, p) % p
+    for i in range(last // m + 1):
         j = get(y)
         if j is not None:
             # j < m, so a hit past the bound can only come at the last step
-            e = i * m + j
-            return e if e <= bound else None
+            k = i * m + j
+            return r + s * k if k <= last else None
         y = y * giant % p
     return None

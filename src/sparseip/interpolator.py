@@ -204,8 +204,8 @@ def interpolate(
     escape is solvers.SplittingBudgetError, and only when rng keeps giving
     draws that do not split a factor of the annihilator.
     """
-    if n < 1 or T < 1 or D < 1:
-        raise ValueError("need n >= 1, T >= 1, D >= 1")
+    if n < 1 or T < 1 or D < 0:
+        raise ValueError("need n >= 1, T >= 1, D >= 0")
     if D >= ctx.p - 1:
         raise ValueError("degree bound must be below p - 1")
     required = 2 * (n + 2) * T * T * D + 1
@@ -274,7 +274,8 @@ def interpolate(
                 for i, ((_, vk), v) in enumerate(zip(shifted, values)):
                     if v == 0:
                         raise InterpolationFailure(
-                            FailReason.DLOG_OUT_OF_RANGE, "zero monomial value"
+                            FailReason.DLOG_OUT_OF_RANGE,
+                            f"variable {k}, term {i}: zero monomial value",
                         )
                     ratio = vk * pow(v, -1, p) % p
                     if baby is None:

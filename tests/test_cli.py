@@ -125,6 +125,17 @@ def test_interpolate_factors_group_order_once(tmp_path, monkeypatch):
     assert calls == [140122640050]
 
 
+def test_interpolate_degree_bound_zero_round_trip(tmp_path, capsys):
+    inst = tmp_path / "inst.txt"
+    assert main(["generate", "--n", "2", "--t", "1", "--D", "0", "--p", "101",
+                 "--seed", "1", "--out", str(inst)]) == 0
+    capsys.readouterr()
+    assert main(["interpolate", str(inst), "--seed", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(inst.read_text())
+    assert "probes: 6" in out.splitlines() and "match: yes" in out.splitlines()
+
+
 def test_interpolate_larger_term_bound(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     main(["generate", "--n", "2", "--t", "3", "--D", "5", "--p", "140122640051",

@@ -106,7 +106,9 @@ def test_bounded_dlog_shared_table_agrees_with_own_table():
             omega = find_primitive_root(ctx, rng)
         for bound in bounds:
             baby = baby_steps(ctx, omega, bound)
-            assert len(baby) == math.isqrt(bound) + 1
+            s, sub, steps = baby
+            assert (p - 1) % s == 0 and s <= math.isqrt(bound) + 1
+            assert len(sub) == s and len(steps) == math.isqrt(bound // s) + 1
             exps = [0, bound, bound + 1] + [rng.randrange(bound + 1) for _ in range(20)]
             targets = [pow(omega, e, p) for e in exps] + [0, p]
             targets += [rng.randrange(1, p) for _ in range(20)]
@@ -115,6 +117,60 @@ def test_bounded_dlog_shared_table_agrees_with_own_table():
             expected = [e if e <= bound else None for e in exps] + [None, None]
             assert shared[: len(expected)] == expected
             assert baby == baby_steps(ctx, omega, bound)  # lookups leave it as built
+
+
+def _largest_divisor_up_to(n, cap):
+    return max(d for d in range(1, cap + 1) if n % d == 0)
+
+
+def test_bounded_dlog_brute_force_every_small_prime():
+    # Every prime below 200, every bound in [0, p - 2] and every target in
+    # [0, p], against the least e <= bound with omega^e = target.
+    for p in (q for q in range(2, 200) if is_probable_prime(q)):
+        ctx = FieldContext.for_prime(p)
+        omega = next(g for g in range(1, p) if is_primitive_root(ctx, g))
+        log = {pow(omega, e, p): e for e in range(p - 1)}
+        for bound in range(p - 1):
+            baby = baby_steps(ctx, omega, bound)
+            assert baby[0] == _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
+            expected = [None] * (p + 1)
+            for y, e in log.items():
+                if e <= bound:
+                    expected[y] = e
+            assert [bounded_dlog(ctx, omega, y, bound, baby) for y in range(p + 1)] == expected
+            for e in (bound, bound + 1):  # with a table of the call's own
+                y = pow(omega, e, p)
+                assert bounded_dlog(ctx, omega, y, bound) == expected[y]
+
+
+@pytest.mark.parametrize(
+    "p", [1000000007, 3221225473, 140122640051, 4611686018427387847]
+)
+def test_bounded_dlog_large_primes(p):
+    # p - 1 = 2q, 3 * 2^30, 2 * 5^2 * q and 2 * 3^2 * 1289 * q (q prime): s
+    # is 1 or 2, 2^k or 3 * 2^k, a divisor of 50, a divisor of 23202.
+    ctx = FieldContext.for_prime(p)
+    rng = random.Random(p)
+    omega = find_primitive_root(ctx, rng)
+    for bound in (0, 1, 10**4, 10**8):
+        baby = baby_steps(ctx, omega, bound)
+        s = baby[0]
+        assert s == _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
+        # exponents at and just past the bound, over several residues mod s
+        near = [0, 1, s - 1] + [rng.randrange(s) for _ in range(3)]
+        exps = [0, p - 2] + [bound + 1 + j for j in near]
+        exps += [bound - j for j in near if j <= bound]
+        exps += [rng.randrange(bound + 1) for _ in range(5)]
+        exps += [rng.randrange(p - 1) for _ in range(3)]
+        for e in exps:
+            y = pow(omega, e, p)
+            got = bounded_dlog(ctx, omega, y, bound, baby)
+            assert got == (e if e <= bound else None)
+            assert bounded_dlog(ctx, omega, y, bound) == got
+        for y in [rng.randrange(1, p) for _ in range(3)]:
+            got = bounded_dlog(ctx, omega, y, bound, baby)
+            assert got is None or (got <= bound and pow(omega, got, p) == y)
+            assert bounded_dlog(ctx, omega, y, bound) == got
 
 
 def test_bounded_dlog_rejects_bad_bound():

@@ -4,6 +4,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparseip.blackbox import (
     EvaluationOracle,
@@ -306,7 +307,9 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
         assert report.succeeded and poly_equal(report.outcome, f)
         assert len(built) == 1 and len(used) == n * t
         assert all(baby is built[0] for baby in used)
-        assert len(built[0]) == math.isqrt(D) + 1
+        s, sub, steps = built[0]
+        assert (ctx.p - 1) % s == 0 and s <= math.isqrt(D) + 1
+        assert len(sub) == s and len(steps) == math.isqrt(D // s) + 1
         built.clear()
         used.clear()
 
@@ -336,3 +339,43 @@ def test_dlog_consistency_on_success():
     assert report.succeeded
     assert all(0 <= e <= 15 for _, exps in report.outcome.terms for e in exps)
     assert poly_equal(report.outcome, f)
+
+
+def test_interpolate_zero_monomial_value_fail_names_its_term():
+    # 1 at zeta and 0 at every other probe point: the annihilator is z, and
+    # its one root, the monomial value 0, has no discrete log.
+    ctx = FieldContext.for_prime(140122640051)
+    zeta = (3, 7)
+    oracle = EvaluationOracle(lambda point: 1 if point == zeta else 0)
+    report = interpolate(oracle, 2, 1, 5, ctx, random.Random(1), zeta=zeta)
+    assert report.fail_reason == FailReason.DLOG_OUT_OF_RANGE
+    assert report.fail_detail == "variable 1, term 0: zero monomial value"
+    assert report.probes == 2 * 2
+
+
+PROPERTY_FIELDS = [FieldContext.for_prime(p) for p in (101, 10007, 140122640051)]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.data())
+def test_interpolate_success_is_exact_and_fail_is_clean(data):
+    # The paper's contract with force=True, also when T understates t and at
+    # fields far below the guarantee bound: a success is the hidden
+    # polynomial after exactly 2(n+1)T probes; a Fail has a reason and stops
+    # after a whole number of 2T-probe runs.
+    ctx = data.draw(st.sampled_from(PROPERTY_FIELDS))
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(0, 30))
+    t = data.draw(st.integers(0, min(6, (D + 1) ** n)))
+    T = data.draw(st.integers(max(1, t - 1), t + 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    f = random_sparse_polynomial(n, t, D, ctx, rng) if t else sparse_polynomial(n, [], ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, T, D, ctx, rng, force=True)
+    if report.succeeded:
+        assert poly_equal(report.outcome, f)
+        assert report.probes == 2 * (n + 1) * T
+    else:
+        assert isinstance(report.fail_reason, FailReason)
+        assert report.probes % (2 * T) == 0 and report.probes <= 2 * (n + 1) * T
