@@ -2,13 +2,14 @@
 
 Field elements are plain Python ints kept as canonical residues in [0, p-1].
 A FieldContext bundles the modulus with the factored group order p-1, which
-is what primitive-root validation needs. The discrete log over [0, D] first
-reads e mod s from the subgroup of order s, the largest divisor of p-1 that
-is at most isqrt(D) + 1, then walks baby-step/giant-step over the D/s
-candidates left: one pow plus at most isqrt(D // s) + 1 giant steps. Its
-tables, s + isqrt(D // s) + 1 entries, depend only on the generator and the
-bound, so a caller with many logs for one (omega, D) builds them once with
-baby_steps and passes them to every bounded_dlog call.
+is what primitive-root validation needs. The discrete log over [0, D]
+reads e mod s from the subgroup of order s | p-1, s <= isqrt(D) + 1, with
+one pow when that saves at least 2 bits(p) giant steps (else s = 1), then
+walks baby-step/giant-step over the D/s candidates left: at most
+isqrt(D // s) + 1 giant steps. Its tables, s + isqrt(D // s) + 1 entries,
+depend only on the generator and the bound, so a caller with many logs for
+one (omega, D) builds them once with baby_steps and passes them to every
+bounded_dlog call.
 """
 
 from __future__ import annotations
@@ -177,8 +178,9 @@ def _power_table(g: int, count: int, p: int) -> dict[int, int]:
 def baby_steps(ctx: FieldContext, omega: int, bound: int) -> DlogTables:
     """The tables bounded_dlog uses for this omega and bound: (s, sub, baby).
 
-    s is the largest divisor of p - 1 that is at most isqrt(bound) + 1, taken
-    from ctx.order_factorization. sub is {gamma^j: j} for j < s, where
+    s is the largest divisor of p - 1 up to isqrt(bound) + 1 (from
+    ctx.order_factorization), or 1 if it saves under 2 bits(p) giant steps,
+    about what its pow costs. sub is {gamma^j: j} for j < s, where
     gamma = omega^((p-1)/s) has order exactly s; baby is {(omega^s)^j: j} for
     j <= isqrt(bound // s). Together s + isqrt(bound // s) + 1 entries.
     """
@@ -188,6 +190,8 @@ def baby_steps(ctx: FieldContext, omega: int, bound: int) -> DlogTables:
     for q, mult in ctx.order_factorization:
         divisors = [d * q**i for d in divisors for i in range(mult + 1) if d * q**i <= cap]
     s = max(divisors)
+    if math.isqrt(bound) - math.isqrt(bound // s) < 2 * p.bit_length():
+        s = 1
     sub = _power_table(pow(omega, (p - 1) // s, p), s, p)
     return s, sub, _power_table(pow(omega, s, p), math.isqrt(bound // s) + 1, p)
 
@@ -202,11 +206,11 @@ def bounded_dlog(
     """Find the unique e in [0, bound] with omega^e = target, or None, for a
     generator omega of F_p^*.
 
-    With (s, sub, baby) = baby_steps(ctx, omega, bound): one pow,
+    With (s, sub, baby) = baby_steps(ctx, omega, bound): if s > 1, one pow,
     target^((p-1)/s) = gamma^(e mod s), and one lookup in sub give
-    r = e mod s (Pohlig-Hellman). Then e = r + s*k, and baby-step/giant-step
-    by omega^(-s*m), m = isqrt(bound // s) + 1, finds k in
-    [0, (bound - r) // s] from target * omega^-r in at most
+    r = e mod s (Pohlig-Hellman); else r = 0. Then e = r + s*k, and
+    baby-step/giant-step by omega^(-s*m), m = isqrt(bound // s) + 1, finds k
+    in [0, (bound - r) // s] from target * omega^-r in at most
     isqrt(bound // s) + 1 giant steps. baby, if given, must be
     baby_steps(ctx, omega, bound); it is only read, so one table serves every
     log for that omega and bound. Without it the call builds its own.
@@ -223,12 +227,12 @@ def bounded_dlog(
         baby = baby_steps(ctx, omega, bound)
     s, sub, steps = baby
     # r < s <= isqrt(bound) + 1, so r <= bound
-    r = sub[pow(target, (p - 1) // s, p)]
+    r = sub[pow(target, (p - 1) // s, p)] if s > 1 else 0
     last = (bound - r) // s
     m = math.isqrt(bound // s) + 1
     giant = pow(omega, -s * m, p)
     get = steps.get
-    y = target * pow(omega, -r, p) % p
+    y = target * pow(omega, -r, p) % p if r else target
     for i in range(last // m + 1):
         j = get(y)
         if j is not None:

@@ -256,7 +256,7 @@ def interpolate(
         if len(set(coeff_list)) != t:
             raise InterpolationFailure(
                 FailReason.DUPLICATE_COEFFICIENT,
-                "scaled coefficients are not pairwise distinct; matching is ambiguous",
+                "base run: scaled coefficients are not pairwise distinct; matching is ambiguous",
             )
         exponents = [[0] * n for _ in range(t)]
         baby = None

@@ -7,12 +7,13 @@ solve. Dense polynomials are plain lists of coefficients in ascending power
 order with no trailing zeros; [] is the zero polynomial.
 
 Root finding spends nearly all its time in _ppowmod, powers modulo a
-polynomial. It packs each residue into one int (Kronecker substitution), so a
-product is one CPython bigint multiply, and reduces it with a reciprocal of
-the reversed modulus computed once per modulus (von zur Gathen & Gerhard,
-Modern Computer Algebra, 8.4 and 9.1). The gcds keep schoolbook division,
-as their quotients are mostly linear. _pdivmod divides by any nonzero
-divisor, so Euclid makes only its last remainder monic (ibid., ch. 3).
+polynomial. It packs each residue into one int (Kronecker substitution), and
+its powering loop runs only whole-int products, shifts and masks: an exact
+polynomial Barrett quotient, and an integer Barrett step that reduces every
+slot mod p at once (SWAR, Fisher & Dietz 1998). The gcds keep schoolbook
+division, as their quotients are mostly linear. _pdivmod divides by any
+nonzero divisor, so Euclid makes only its last remainder monic (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 3).
 """
 
 from __future__ import annotations
@@ -142,66 +143,61 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
     """base^e mod the monic m of degree d >= 1.
 
-    A residue of degree < d is one int holding coefficient i in byte slot i,
-    w bytes wide, so a square or multiply is one bigint product. No slot
-    carries into the next: every coefficient of a product of two residues,
-    and of the two products in the reduction below, is a sum of at most d
-    products of two numbers below p, and w = ceil(bits(d (p - 1)^2) / 8).
-    Python ints do not overflow and w is computed from p and d, so this holds
-    at every p below 2^MAX_MODULUS_BITS = 2^62 (w <= 17 bytes up to d = 4096).
+    A residue of degree < d is one int with coefficient i in the w-bit slot
+    i, lazily reduced to [0, v], v = 3p - 1, and fully reduced only when
+    unpacked. A product x = H z^d + L (deg H <= d - 2, deg L < d) has
+    quotient q = quo(H mu, z^(d-1)) by m, for mu = quo(z^(2d-1), m) computed
+    once per call. This is exact: with z^(2d-1) = mu m + rho, deg rho < d,
+    x z^(d-1) = H mu m + (H rho + L z^(d-1)) = q z^(d-1) m + r z^(d-1). The
+    bracketed term and r z^(d-1) have degree <= 2d - 2, so their quotients
+    by m have degree < d - 1 and drop out of quo(., z^(d-1)). Then
+    x mod m = L + C - (q m_low mod z^d) for m_low = m - z^d, where C holds
+    c = (d - 1) v p, a multiple of p above any slot of q m_low, in each
+    slot, so no slot goes negative or borrows from the next.
 
-    A product x = H z^d + L with deg H <= d - 2 and deg L < d is reduced with
-    inv = rev(m)^-1 mod z^(d-1), rev(m) = z^d m(1/z), computed once per call.
-    Reversed at formal degrees 2d - 2, d and d - 2, x = q m + r reads
-    rev(x) = rev(m) rev(q) + z^(d-1) rev(r), and rev(x) = rev(H) mod z^(d-1),
-    so q = rev(rev(H) inv mod z^(d-1)) and x mod m = L - (q m_low mod z^d)
-    for m_low = m - z^d. The reversals cost nothing: the big-endian bytes of a
-    packed int list its slots from the top down, and packing them little-
-    endian puts the first one in slot 0.
+    A slot of a product of two residues sums at most d products of values
+    <= v, so red() only sees slots below 2^B, B = bits(d v^2 + c). With
+    s = bits(p) - 1 and beta = floor(2^B / p), ((x >> s) beta) >> (B - s)
+    is at most 2 short of floor(x / p) (Barrett 1986), which keeps slots in
+    [0, v]. (x >> s) beta < 2^(2(B - s)), so slots w = 2(B - s) bits wide
+    never carry, and w >= B as B >= 2 bits(p).
     """
     d = len(m) - 1
-    w = ((d * (p - 1) ** 2).bit_length() + 7) // 8
-    lw, hw = d * w, (d - 1) * w  # bytes of the low d and the high d - 1 slots
-    low, high = (1 << 8 * lw) - 1, (1 << 8 * hw) - 1
-    fb = int.from_bytes
+    v = 3 * p - 1
+    c = (d - 1) * v * p
+    bound = (d * v * v + c).bit_length()
+    s = p.bit_length() - 1
+    w = 2 * (bound - s)
+    dw, hw = d * w, (d - 1) * w
+    low, mask = (1 << dw) - 1, (1 << w) - 1
+    ones = low // mask  # 1 in each of the d slots
+    hmask, beta, offset = ((1 << bound - s) - 1) * ones, (1 << bound) // p, c * ones
 
     def pack(coeffs: list[int]) -> int:
-        return fb(b"".join([(c % p).to_bytes(w, "little") for c in coeffs]), "little")
+        x = 0
+        for a in reversed(coeffs):
+            x = x << w | a % p
+        return x
 
-    rev_m = m[-2::-1]  # coefficients of z, z^2, ... in rev(m); its constant is 1
-    inv = [1]
-    for _ in range(d - 2):
-        inv.append(-sum(map(int.__mul__, rev_m, reversed(inv))) % p)
-    inv_packed, m_low = pack(inv[: d - 1]), pack(m[:d])
-    high_slots, low_slots = range(0, hw, w), range(hw, hw + lw, w)
-
-    def top_reversed(buf: bytes) -> int:
-        # The first d - 1 slots of the big-endian buf, mod p, packed from slot 0 up.
-        return fb(
-            b"".join([(fb(buf[i : i + w], "big") % p).to_bytes(w, "little") for i in high_slots]),
-            "little",
-        )
+    def red(x: int) -> int:
+        return x - ((x >> s & hmask) * beta >> bound - s & hmask) * p
 
     def reduce(x: int) -> int:
-        bx = x.to_bytes(hw + lw, "big")
-        q = top_reversed((top_reversed(bx) * inv_packed & high).to_bytes(hw, "big"))
-        bz = (q * m_low & low).to_bytes(hw + lw, "big")
-        return fb(
-            b"".join(
-                [((fb(bx[i : i + w], "big") - fb(bz[i : i + w], "big")) % p).to_bytes(w, "big")
-                 for i in low_slots]
-            ),
-            "big",
-        )
+        q = red(red(x >> dw) * mu >> hw)
+        return red((x & low) + offset - (q * m_low & low))
 
+    rev_m = m[-2::-1]  # coefficients of z, z^2, ... in rev(m) = z^d m(1/z)
+    inv = [1]  # rev(m)^-1 mod z^d, whose reversal is mu
+    for _ in range(d - 1):
+        inv.append(-sum(map(int.__mul__, rev_m, reversed(inv))) % p)
+    mu, m_low = pack(inv[::-1]), pack(m[:d])
     b = pack(_pdivmod(base, m, p)[1])
     r = b if e else 1
     for bit in bin(e)[3:]:
         r = reduce(r * r)
         if bit == "1":
             r = reduce(r * b)
-    br = r.to_bytes(lw, "little")
-    return _trim([fb(br[i : i + w], "little") for i in range(0, lw, w)])
+    return _trim([(r >> i & mask) % p for i in range(0, dw, w)])
 
 
 def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -> list[int]:

@@ -5,6 +5,7 @@ import pytest
 
 from sparseip.field import (
     FieldContext,
+    _power_table,
     baby_steps,
     bounded_dlog,
     factorize,
@@ -123,21 +124,40 @@ def _largest_divisor_up_to(n, cap):
     return max(d for d in range(1, cap + 1) if n % d == 0)
 
 
+def _expected_s(p, bound):
+    # The largest divisor of p - 1 up to isqrt(bound) + 1, kept only when it
+    # saves at least 2 bits(p) giant steps.
+    s = _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
+    return s if math.isqrt(bound) - math.isqrt(bound // s) >= 2 * p.bit_length() else 1
+
+
+def _tables_for_divisor(p, omega, bound, s):
+    # baby_steps' tables for a given divisor s of p - 1 up to isqrt(bound) + 1
+    return (s, _power_table(pow(omega, (p - 1) // s, p), s, p),
+            _power_table(pow(omega, s, p), math.isqrt(bound // s) + 1, p))
+
+
 def test_bounded_dlog_brute_force_every_small_prime():
     # Every prime below 200, every bound in [0, p - 2] and every target in
-    # [0, p], against the least e <= bound with omega^e = target.
+    # [0, p], against the least e <= bound with omega^e = target. Below 200
+    # baby_steps always takes s = 1, so the subgroup path is also checked
+    # with tables built for the largest divisor under the cap.
     for p in (q for q in range(2, 200) if is_probable_prime(q)):
         ctx = FieldContext.for_prime(p)
         omega = next(g for g in range(1, p) if is_primitive_root(ctx, g))
         log = {pow(omega, e, p): e for e in range(p - 1)}
         for bound in range(p - 1):
             baby = baby_steps(ctx, omega, bound)
-            assert baby[0] == _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
+            assert baby[0] == _expected_s(p, bound)
             expected = [None] * (p + 1)
             for y, e in log.items():
                 if e <= bound:
                     expected[y] = e
             assert [bounded_dlog(ctx, omega, y, bound, baby) for y in range(p + 1)] == expected
+            s = _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
+            if s > 1:
+                sub = _tables_for_divisor(p, omega, bound, s)
+                assert [bounded_dlog(ctx, omega, y, bound, sub) for y in range(p + 1)] == expected
             for e in (bound, bound + 1):  # with a table of the call's own
                 y = pow(omega, e, p)
                 assert bounded_dlog(ctx, omega, y, bound) == expected[y]
@@ -148,14 +168,15 @@ def test_bounded_dlog_brute_force_every_small_prime():
 )
 def test_bounded_dlog_large_primes(p):
     # p - 1 = 2q, 3 * 2^30, 2 * 5^2 * q and 2 * 3^2 * 1289 * q (q prime): s
-    # is 1 or 2, 2^k or 3 * 2^k, a divisor of 50, a divisor of 23202.
+    # is 1 or 2, 2^k or 3 * 2^k, a divisor of 50, a divisor of 23202. s > 1
+    # at bound 10^4 for the middle two and at 10^8 for all four.
     ctx = FieldContext.for_prime(p)
     rng = random.Random(p)
     omega = find_primitive_root(ctx, rng)
     for bound in (0, 1, 10**4, 10**8):
         baby = baby_steps(ctx, omega, bound)
         s = baby[0]
-        assert s == _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
+        assert s == _expected_s(p, bound)
         # exponents at and just past the bound, over several residues mod s
         near = [0, 1, s - 1] + [rng.randrange(s) for _ in range(3)]
         exps = [0, p - 2] + [bound + 1 + j for j in near]

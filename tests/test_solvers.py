@@ -11,6 +11,7 @@ from sparseip.solvers import (
     _pdivmod,
     _pgcd,
     _ppowmod,
+    _trim,
     berlekamp_massey,
     eval_dense,
     find_distinct_roots,
@@ -163,9 +164,9 @@ P62 = 4611686018427387847
 
 def test_ppowmod_matches_sympy_gf_pow_mod():
     # sympy (test-only oracle) lists coefficients highest first. Each base of
-    # degree d + 1 must first be reduced mod m. At d = 50 and P62 a slot one
-    # byte narrower than ceil(bits(d (p - 1)^2) / 8) overflows. d = 200 runs
-    # once: sympy takes about 2 s on it.
+    # degree d + 1 must first be reduced mod m. A slot one byte narrower than
+    # _ppowmod's overflows here. d = 200 runs once: sympy takes about 2 s on
+    # it.
     from sympy.polys.domains import ZZ
     from sympy.polys.galoistools import gf_pow_mod
 
@@ -178,6 +179,48 @@ def test_ppowmod_matches_sympy_gf_pow_mod():
         for f, e in runs:
             expected = gf_pow_mod(ZZ.map(f[::-1]), e, ZZ.map(m[::-1]), p, ZZ)
             assert _ppowmod(f, e, m, p) == [int(c) for c in reversed(expected)], (p, d, e)
+
+
+def _powmod_by_division(base, e, m, p):
+    # Plain square-and-multiply on unpacked lists. Each schoolbook product is
+    # reduced as low + sum_k high_k (z^(d+k) mod m), with z^(d+k) mod m from
+    # _pdivmod, one degree at a time.
+    d = len(m) - 1
+    rows, row = [], [0] * (d - 1) + [1]
+    for _ in range(d - 1):
+        row = _pdivmod([0] + row, m, p)[1]
+        rows.append(row + [0] * (d - len(row)))
+    cols = [[row[j] for row in rows] for j in range(d)]
+
+    def mulmod(a, b):
+        a, b = a + [0] * (d - len(a)), b + [0] * (d - len(b))
+        prod = [sum(map(int.__mul__, a[max(0, k - d + 1) : k + 1], b[min(k, d - 1) :: -1]))
+                for k in range(2 * d - 1)]
+        high = prod[d:]
+        return [(prod[j] + sum(map(int.__mul__, high, cols[j]))) % p for j in range(d)]
+
+    b, r = _pdivmod(base, m, p)[1], [1]
+    for bit in bin(e)[2:]:
+        r = mulmod(r, r)
+        if bit == "1":
+            r = mulmod(r, b)
+    return _trim(r)
+
+
+def test_ppowmod_worst_case_slots_match_plain_square_and_multiply():
+    # Every coefficient of the base and of the modulus is p - 1, so the first
+    # square fills the middle slot with d (p - 1)^2; the second modulus has
+    # m(0) = 0 as well, and d = 1 has no quotient slots. The oracle takes
+    # about 2 s per long exponent at d = 200 and a large p, so there e = 5,
+    # two squares and one multiply by the base, stands in for p and
+    # (p - 1) / 2.
+    for p in (2, 3, P37, P62):
+        for d in (1, 2, 3, 50, 200):
+            exponents = (0, 1, p, (p - 1) // 2) if d < 200 or p < 5 else (0, 1, 5)
+            for m in ([p - 1] * d + [1], [0] + [p - 1] * (d - 1) + [1]):
+                for e in exponents:
+                    base = [p - 1] * d
+                    assert _ppowmod(base, e, m, p) == _powmod_by_division(base, e, m, p), (p, d, e)
 
 
 def _poly(rng, deg, p):
