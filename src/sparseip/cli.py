@@ -35,6 +35,7 @@ from .solvers import (
     find_distinct_roots,
     roots_by_coefficient,
     solve_transposed_vandermonde,
+    vandermonde_rows,
 )
 
 EXIT_OK = 0
@@ -106,6 +107,7 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
     check("sorted pairs", tuple(g["pairs"]), tuple(pairs))
 
     values = [v for _, v in pairs]
+    rows = vandermonde_rows([c for c, _ in pairs], ctx)
     for k in (1, 2, 3):
         shifted = mc_pairs(
             oracle, g["alpha"], g["zeta"], g["T"], ctx, rng,
@@ -120,10 +122,12 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
         shifted_seq = probe_sequence(
             oracle, g["alpha"], g["zeta"], g["T"], ctx, omega=g["omega"], shift_var=k,
         )
-        by_coeff = roots_by_coefficient(
-            berlekamp_massey(shifted_seq, ctx).lam, shifted_seq, [c for c, _ in pairs], ctx,
-        )
-        check(f"values by coefficient k={k}", list(g["value_rows"][k]), by_coeff)
+        shifted_lam = berlekamp_massey(shifted_seq, ctx).lam
+        for label, shared in (("own", None), ("shared", rows)):
+            by_coeff = roots_by_coefficient(
+                shifted_lam, shifted_seq, [c for c, _ in pairs], ctx, shared,
+            )
+            check(f"values by coefficient, {label} rows k={k}", list(g["value_rows"][k]), by_coeff)
 
     baby = baby_steps(ctx, g["omega"], g["D"])
     for k in (1, 2, 3):

@@ -161,8 +161,8 @@ def sample_nonzero(ctx: FieldContext, rng: random.Random) -> int:
     return rng.randrange(1, ctx.p)
 
 
-# (s, subgroup table, baby steps), as baby_steps builds them
-DlogTables = tuple[int, dict[int, int], dict[int, int]]
+# (s, subgroup table, baby steps, giant step), as baby_steps builds them
+DlogTables = tuple[int, dict[int, int], dict[int, int], int]
 
 
 def _power_table(g: int, count: int, p: int) -> dict[int, int]:
@@ -176,13 +176,15 @@ def _power_table(g: int, count: int, p: int) -> dict[int, int]:
 
 
 def baby_steps(ctx: FieldContext, omega: int, bound: int) -> DlogTables:
-    """The tables bounded_dlog uses for this omega and bound: (s, sub, baby).
+    """The tables bounded_dlog uses for this omega and bound:
+    (s, sub, baby, giant).
 
     s is the largest divisor of p - 1 up to isqrt(bound) + 1 (from
     ctx.order_factorization), or 1 if it saves under 2 bits(p) giant steps,
     about what its pow costs. sub is {gamma^j: j} for j < s, where
     gamma = omega^((p-1)/s) has order exactly s; baby is {(omega^s)^j: j} for
     j <= isqrt(bound // s). Together s + isqrt(bound // s) + 1 entries.
+    giant = omega^(-s*m), m = isqrt(bound // s) + 1, is the giant step.
     """
     p = ctx.p
     cap = math.isqrt(bound) + 1
@@ -192,8 +194,9 @@ def baby_steps(ctx: FieldContext, omega: int, bound: int) -> DlogTables:
     s = max(divisors)
     if math.isqrt(bound) - math.isqrt(bound // s) < 2 * p.bit_length():
         s = 1
+    m = math.isqrt(bound // s) + 1
     sub = _power_table(pow(omega, (p - 1) // s, p), s, p)
-    return s, sub, _power_table(pow(omega, s, p), math.isqrt(bound // s) + 1, p)
+    return s, sub, _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p)
 
 
 def bounded_dlog(
@@ -206,11 +209,11 @@ def bounded_dlog(
     """Find the unique e in [0, bound] with omega^e = target, or None, for a
     generator omega of F_p^*.
 
-    With (s, sub, baby) = baby_steps(ctx, omega, bound): if s > 1, one pow,
-    target^((p-1)/s) = gamma^(e mod s), and one lookup in sub give
+    With (s, sub, baby, giant) = baby_steps(ctx, omega, bound): if s > 1,
+    one pow, target^((p-1)/s) = gamma^(e mod s), and one lookup in sub give
     r = e mod s (Pohlig-Hellman); else r = 0. Then e = r + s*k, and
-    baby-step/giant-step by omega^(-s*m), m = isqrt(bound // s) + 1, finds k
-    in [0, (bound - r) // s] from target * omega^-r in at most
+    baby-step/giant-step by giant = omega^(-s*m), m = isqrt(bound // s) + 1,
+    finds k in [0, (bound - r) // s] from target * omega^-r in at most
     isqrt(bound // s) + 1 giant steps. baby, if given, must be
     baby_steps(ctx, omega, bound); it is only read, so one table serves every
     log for that omega and bound. Without it the call builds its own.
@@ -225,12 +228,11 @@ def bounded_dlog(
         return None
     if baby is None:
         baby = baby_steps(ctx, omega, bound)
-    s, sub, steps = baby
+    s, sub, steps, giant = baby
     # r < s <= isqrt(bound) + 1, so r <= bound
     r = sub[pow(target, (p - 1) // s, p)] if s > 1 else 0
     last = (bound - r) // s
     m = math.isqrt(bound // s) + 1
-    giant = pow(omega, -s * m, p)
     get = steps.get
     y = target * pow(omega, -r, p) % p if r else target
     for i in range(last // m + 1):

@@ -5,9 +5,10 @@ pairs from one run of 2T probes; interpolate drives the base run plus one
 per-variable shifted run, matches terms by their (diverse) coefficients, and
 extracts exponents via bounded discrete logs. Only the base run finds the
 roots of its annihilator. A shifted run has the same scaled coefficients, so
-it reads off each term's shifted value with one gcd per known coefficient,
-and falls back to root finding only to classify a run that will Fail. All
-n*t discrete logs of one call share a single baby-step table.
+it reads off its values by power projection and one transposed Vandermonde
+solve in them, and falls back to root finding only to classify a run that
+will Fail. One set of Vandermonde rows serves all n shifted runs of a call,
+as one baby-step table serves all its n*t discrete logs.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .solvers import (
     find_distinct_roots,
     roots_by_coefficient,
     solve_transposed_vandermonde,
+    vandermonde_rows,
 )
 
 STAGES = ("probe", "bm", "roots", "vand", "dlog", "assembly")
@@ -115,16 +117,18 @@ def mc_pairs(
     shift_var: Optional[int] = None,
     timings: Optional[dict[str, int]] = None,
     coeffs: Optional[Sequence[int]] = None,
+    rows: Optional[list[list[int]]] = None,
 ) -> list[tuple[int, int]]:
     """One probing run: 2T probes, minimal recurrence, annihilator roots,
     transposed Vandermonde solve; returns [(c~, v)] sorted ascending by c~.
 
     With coeffs, the run's scaled coefficients are expected to be coeffs (a
-    shifted run knows them from the base run): each value v is then read off
-    by one gcd per coefficient (solvers.roots_by_coefficient), with no root
-    finding. Only when that fails does the run go through root finding and
-    the solve, on the same probes, to classify it; the result is the same as
-    without coeffs either way.
+    shifted run knows them from the base run): the values v are then read
+    off in those coefficients (solvers.roots_by_coefficient, given rows as
+    vandermonde_rows(coeffs) if any), with no root finding. Only when that
+    fails does the run go through root finding and the solve, on the same
+    probes, to classify it; the result is the same as without coeffs either
+    way.
 
     Raises InterpolationFailure on repeated/missing roots or a zero
     recovered coefficient; its message starts with the run's name, "base
@@ -142,7 +146,7 @@ def mc_pairs(
     roots = None
     if coeffs is not None:
         with _timed(timings, "roots"):
-            roots = roots_by_coefficient(rec.lam, seq, coeffs, ctx)
+            roots = roots_by_coefficient(rec.lam, seq, coeffs, ctx, rows)
     if roots is None:
         try:
             with _timed(timings, "roots"):
@@ -194,8 +198,10 @@ def interpolate(
     shifted run per variable, matches terms positionally after checking the
     sorted coefficient lists agree, recovers each exponent by a bounded
     discrete log and each coefficient by undoing the variable scaling. The
-    baby-step table for (omega, D) is built once, when the first discrete
-    log is due, and shared by all of them; it does not outlive the call.
+    Vandermonde rows for the base run's coefficients are built once, after
+    its duplicate check, and the baby-step table for (omega, D) once, when
+    the first discrete log is due; each is shared, and neither outlives the
+    call.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
     (then it warns and proceeds; the probability guarantee is void), and
@@ -260,10 +266,12 @@ def interpolate(
             )
         exponents = [[0] * n for _ in range(t)]
         baby = None
+        with _timed(timings, "vand"):
+            rows = vandermonde_rows(coeff_list, ctx)
         for k in range(1, n + 1):
             shifted = mc_pairs(
                 oracle, alpha, zeta, T, ctx, rng,
-                omega=omega, shift_var=k, timings=timings, coeffs=coeff_list,
+                omega=omega, shift_var=k, timings=timings, coeffs=coeff_list, rows=rows,
             )
             if [c for c, _ in shifted] != coeff_list:
                 raise InterpolationFailure(

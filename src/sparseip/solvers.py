@@ -1,25 +1,27 @@
 """Sequence and polynomial kernels over F_p.
 
 Minimal linear recurrence (Berlekamp-Massey), distinct-root extraction of the
-annihilator polynomial, recovery of its roots from known coefficients by one
-gcd each (deflating by every root found), and the transposed Vandermonde
-solve. Dense polynomials are plain lists of coefficients in ascending power
-order with no trailing zeros; [] is the zero polynomial.
+annihilator polynomial, recovery of its roots from known coefficients by
+power projection, and the transposed Vandermonde solve. Dense polynomials
+are plain lists of coefficients in ascending power order with no trailing
+zeros; [] is the zero polynomial.
 
-Root finding spends nearly all its time in _ppowmod, powers modulo a
-polynomial. It packs each residue into one int (Kronecker substitution), and
-its powering loop runs only whole-int products, shifts and masks: an exact
-polynomial Barrett quotient, and an integer Barrett step that reduces every
-slot mod p at once (SWAR, Fisher & Dietz 1998). The gcds keep schoolbook
-division, as their quotients are mostly linear. _pdivmod divides by any
-nonzero divisor, so Euclid makes only its last remainder monic (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 3).
+_residues packs each residue modulo a polynomial into one int (Kronecker
+substitution) and runs only whole-int products, shifts and masks: an exact
+polynomial Barrett quotient, an integer Barrett step that reduces every slot
+mod p at once (SWAR, Fisher & Dietz 1998), and a division-free extended
+Euclid. Root finding's gcds keep schoolbook division, as their quotients
+are mostly linear; _pdivmod divides by any nonzero divisor, so Euclid makes
+only its last remainder monic (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 3).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional, Sequence
 
 from .field import FieldContext
@@ -140,14 +142,18 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
     return [c * inv % p for c in a]
 
 
-def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """base^e mod the monic m of degree d >= 1.
+def _residues(m: list[int], p: int):
+    """Packed residues modulo the monic m of degree d >= 1: (w, pack, red,
+    reduce, unpack, inverse). pack puts coefficient i in the w-bit slot i of
+    one int, red reduces slots below 2^B (B below) to [0, v], reduce maps a
+    product of two residues to a residue, unpack gives the trimmed list
+    back, and inverse(a) is a^-1 mod m, or None if gcd(a, m) != 1.
 
-    A residue of degree < d is one int with coefficient i in the w-bit slot
-    i, lazily reduced to [0, v], v = 3p - 1, and fully reduced only when
-    unpacked. A product x = H z^d + L (deg H <= d - 2, deg L < d) has
-    quotient q = quo(H mu, z^(d-1)) by m, for mu = quo(z^(2d-1), m) computed
-    once per call. This is exact: with z^(2d-1) = mu m + rho, deg rho < d,
+    A packed residue has degree < d and slots lazily reduced to [0, v],
+    v = 3p - 1; only unpack reduces them fully. A product x = H z^d + L
+    (deg H <= d - 2, deg L < d) has quotient q = quo(H mu, z^(d-1)) by m,
+    for mu = quo(z^(2d-1), m) computed once here. This is exact: with
+    z^(2d-1) = mu m + rho, deg rho < d,
     x z^(d-1) = H mu m + (H rho + L z^(d-1)) = q z^(d-1) m + r z^(d-1). The
     bracketed term and r z^(d-1) have degree <= 2d - 2, so their quotients
     by m have degree < d - 1 and drop out of quo(., z^(d-1)). Then
@@ -186,18 +192,48 @@ def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
         q = red(red(x >> dw) * mu >> hw)
         return red((x & low) + offset - (q * m_low & low))
 
+    def unpack(x: int) -> list[int]:
+        return _trim([(x >> i & mask) % p for i in range(0, dw, w)])
+
+    def inverse(a: list[int]) -> Optional[int]:
+        # Extended Euclid without divisions: r0 <- l1 r0 - l0 z^k r1 (l0, l1
+        # leading coefficients), and u_i a = r_i mod m for the cofactors.
+        # big keeps slots nonnegative. Slots at and above deg r0, and at and
+        # above d in z^k u1 (deg u < d), are 0 mod p and masked off.
+        a = _trim([x % p for x in a])
+        r0, d0, u0, r1, d1, u1 = pack(m), d, 0, pack(a), len(a) - 1, 1
+        while d1 > 0:
+            l1 = (r1 >> d1 * w) % p
+            while d0 >= d1:
+                l0, k = (r0 >> d0 * w) % p, (d0 - d1) * w
+                r0 = red(l1 * r0 + big - (l0 * r1 << k)) & (1 << d0 * w) - 1
+                u0 = red(l1 * u0 + big - (l0 * u1 << k & low)) & low
+                d0 -= 1
+                while d0 >= 0 and (r0 >> d0 * w) % p == 0:
+                    r0 &= (1 << d0 * w) - 1
+                    d0 -= 1
+            r0, d0, u0, r1, d1, u1 = r1, d1, u1, r0, d0, u0
+        return red(u1 * pow(r1 % p, -1, p)) if r1 else None
+
     rev_m = m[-2::-1]  # coefficients of z, z^2, ... in rev(m) = z^d m(1/z)
     inv = [1]  # rev(m)^-1 mod z^d, whose reversal is mu
     for _ in range(d - 1):
-        inv.append(-sum(map(int.__mul__, rev_m, reversed(inv))) % p)
+        inv.append(-sum(map(mul, rev_m, reversed(inv))) % p)
     mu, m_low = pack(inv[::-1]), pack(m[:d])
+    big = 3 * p * p * (ones << w | 1)  # 3p^2 in each of d + 1 slots
+    return w, pack, red, reduce, unpack, inverse
+
+
+def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
+    """base^e mod the monic m of degree d >= 1, on packed residues."""
+    _, pack, _, reduce, unpack, _ = _residues(m, p)
     b = pack(_pdivmod(base, m, p)[1])
     r = b if e else 1
     for bit in bin(e)[3:]:
         r = reduce(r * r)
         if bit == "1":
             r = reduce(r * b)
-    return _trim([(r >> i & mask) % p for i in range(0, dw, w)])
+    return unpack(r)
 
 
 def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -> list[int]:
@@ -263,86 +299,116 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
 
 
 def roots_by_coefficient(
-    lam: Sequence[int], seq: Sequence[int], coeffs: Sequence[int], ctx: FieldContext
+    lam: Sequence[int],
+    seq: Sequence[int],
+    coeffs: Sequence[int],
+    ctx: FieldContext,
+    rows: Optional[list[list[int]]] = None,
 ) -> Optional[list[int]]:
     """The root u_j of the monic lam (as from berlekamp_massey) that carries
     the known coefficient coeffs[j], for every j, or None.
 
-    With t = deg lam, P is the polynomial part of lam(z) * sum_i a_i z^(-i-1)
-    for a_i = seq[i], i < t (so P/lam is that sum when a satisfies lam's
-    recurrence). If a_i = sum_j c_j u_j^i with lam = prod (z - u_j), then
-    P = sum_j c_j lam/(z - u_j), hence c_j = P(u_j)/lam'(u_j), and u_j is the
-    single root of gcd(lam, P - c_j lam') (Rothstein-Trager). One gcd per
-    coefficient; no root finding, no randomness. After each root u is found
-    for c, lam and P are deflated: lam becomes lam/(z - u) and P becomes
-    (P - c lam/(z - u))/(z - u), so each later gcd runs one degree lower.
+    P is the polynomial part of lam(z) sum_i a_i z^(-i-1), a_i = seq[i],
+    i < t = deg lam. If a_i = sum_j c_j u_j^i and lam = prod (z - u_j), then
+    P = sum_j c_j lam/(z - u_j), and theta = P/lam' mod lam (one extended
+    Euclid) has theta(u_j) = c_j. With a extended by lam's recurrence to
+    a_0 .. a_(2t-1), l(h) = sum_m h_m a_m = sum_j c_j h(u_j) for deg h < 2t,
+    so s_i = l(z theta^(i-1) mod lam) = sum_j u_j c_j^i for 0 < i < t, and
+    s_0 = sum_j u_j = -lam[t-1]. These power projections (Shoup) take about
+    2 sqrt(t) products mod lam, baby-step/giant-step: for i - 1 = gk + r,
+    s_i is the dot product of theta^r with a window of a read off one
+    product of theta^(gk) mod lam and the reversed a. Then u solves a
+    transposed Vandermonde system in the known, distinct c_j (Kaltofen &
+    Lakshman 1988): u = rows s. rows, if given, must be
+    vandermonde_rows(coeffs, ctx); it is only read, so one set serves every
+    shifted run of a call. Without it the call builds its own.
 
-    Returns [u_j] in coeffs order only when deg lam == len(coeffs), every gcd
-    is linear and the u_j are pairwise distinct. This happens exactly when
-    find_distinct_roots(lam) succeeds and solve_transposed_vandermonde on
-    its roots and seq[:t] returns a permutation of coeffs, and then the u_j
-    are those roots:
-    - If lam = prod (z - r_l) with distinct r_l and the solve gives d, then
-      P = sum_l d_l lam/(z - r_l), so P - c lam' takes the value
-      (d_l - c) lam'(r_l) at r_l, and lam'(r_l) != 0. Since lam is
-      squarefree, the gcd is prod over {l : d_l = c} of (z - r_l): linear
-      with root r_l when d is a permutation of distinct coeffs and
-      c = d_l. Deflating that term leaves lam1 = lam/(z - r_l) and
-      P1 = sum over l' != l of d_l' lam1/(z - r_l'), the same structure one
-      degree lower, so every later gcd is linear too.
-    - Conversely, t linear gcds peel t linear factors off the degree-t lam,
-      so lam = prod (z - u_j), squarefree as the u_j are distinct. The solve
-      on the u_j gives d with P = sum_j d_j lam/(z - u_j). Suppose that
-      before step j, lam_j = prod over l >= j of (z - u_l) and
-      P_j = sum over l >= j of d_l lam_j/(z - u_l), as at j = 1. The gcd's
-      root says P_j(u_j) = c_j lam_j'(u_j), while the sum gives
-      P_j(u_j) = d_j lam_j'(u_j) with lam_j'(u_j) != 0, so d_j = c_j, and
-      deflating by u_j keeps the form for step j + 1.
+    Accepts only if deg lam = len(coeffs), the coeffs are distinct, lam' is
+    invertible mod lam (lam is squarefree), den = prod (z - u_j) is lam and
+    num = sum_j c_j den/(z - u_j) is P: the u_j are distinct roots of lam
+    with P(u_j) = c_j lam'(u_j). That is exactly when find_distinct_roots
+    succeeds and solve_transposed_vandermonde on its roots and seq[:t]
+    returns a permutation of coeffs, and the u_j are then those roots. If
+    lam = prod (z - r_l) with distinct r_l and the solve gives d, a
+    permutation of coeffs, then a_i = sum_l d_l r_l^i for i < 2t,
+    theta(r_l) = d_l, and u_j = r_l where d_l = c_j is the system's one
+    solution, which passes. Conversely, den = lam gives t distinct roots
+    u_j; the solve on them gives d with P = sum_j d_j lam/(z - u_j), so
+    num = P leaves sum_j (c_j - d_j) lam/(z - u_j) = 0, which at u_j reads
+    (c_j - d_j) lam'(u_j) = 0 with lam'(u_j) != 0. Only these checks
+    decide, whatever the computed u_j; no root finding, no randomness.
     """
     p = ctx.p
     t = len(lam) - 1
-    if t != len(coeffs):
+    coeffs = [c % p for c in coeffs]
+    if t != len(coeffs) or len(set(coeffs)) != t:
         return None
-    poly = [sum(lam[m + i + 1] * seq[i] for i in range(t - m)) % p for m in range(t)]
-    roots = []
-    for c in coeffs:
-        deriv = [k * lam[k] % p for k in range(1, len(lam))]
-        g = _pgcd(lam, [(a - c * b) % p for a, b in zip(poly, deriv)], p)
-        if len(g) != 2:
-            return None
-        u = (-g[0]) % p
-        roots.append(u)
-        lam = _pdiv_linear(lam, u, p)
-        poly = _pdiv_linear([(a - c * b) % p for a, b in zip(poly, lam)], u, p)
-    if len(set(roots)) != t:
+    if not t:
+        return []
+    lam = [x % p for x in lam]
+    w, pack, red, reduce, unpack, inverse = _residues(lam, p)
+    inv = inverse([k * lam[k] for k in range(1, t + 1)])
+    if inv is None:
+        return None
+    if rows is None:
+        rows = vandermonde_rows(coeffs, ctx)
+    a = [x % p for x in seq[:t]]
+    for i in range(t):  # a_(i+t) by the recurrence
+        a.append(-sum(map(mul, lam, a[i:])) % p)
+    poly = red(pack(lam) * pack(a[t - 1 :: -1]) >> t * w)  # P
+    theta = reduce(poly * inv)
+    k = math.isqrt(t) + 1
+    powers, x = [[1]], 1  # theta^r for r < k
+    for _ in range(k - 1):
+        x = reduce(x * theta)
+        powers.append(unpack(x))
+    giant, rev_a, mask = reduce(x * theta), pack(a[:0:-1]), (1 << w) - 1
+    s, h, window = [-lam[t - 1] % p], 1, a[1 : t + 1]
+    while True:
+        s += [sum(map(mul, r, window)) % p for r in powers[: t - len(s)]]
+        if len(s) == t:
+            break
+        h = reduce(h * giant)
+        prod = h * rev_a  # slots t - 1 .. 2t - 2 hold the window, reversed
+        window = [(prod >> i & mask) % p for i in range((2 * t - 2) * w, (t - 2) * w, -w)]
+    roots = [sum(map(mul, row, s)) % p for row in rows]
+    num, den = 0, 1
+    for c, u in zip(coeffs, roots):  # num/den += c/(z - u)
+        lin = 1 << w | -u % p
+        num, den = red(num * lin + c * den), red(den * lin)
+    if unpack(den) != _trim(lam[:t]) or unpack(num) != unpack(poly):
         return None
     return roots
 
 
-def solve_transposed_vandermonde(
-    nodes: list[int], rhs: list[int], ctx: FieldContext
-) -> list[int]:
-    """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1.
-
-    Master-polynomial method: with M(z) = prod(z - v_i) and Q_i = M/(z - v_i),
-    c_i = (sum_j Q_i[j]*rhs[j]) / Q_i(v_i). Quadratic time, fine at desk scale.
-    """
+def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[list[int]]:
+    """The inverse of the transposed Vandermonde matrix of the distinct
+    nodes v_i, by rows: sum_j rows[i][j] rhs[j] is c_i in the solution of
+    sum_i c_i v_i^j = rhs[j], j < t. rows[i] = Q_i / Q_i(v_i) for
+    Q_i = M/(z - v_i), M = prod (z - v_i). Quadratic time."""
     p = ctx.p
-    t = len(nodes)
-    if t == 0 or len(rhs) != t:
-        raise ValueError("nodes and rhs must be nonempty and of equal length")
     nodes = [v % p for v in nodes]
-    if len(set(nodes)) != t:
+    if len(set(nodes)) != len(nodes):
         raise ValueError("nodes must be pairwise distinct")
     master = [1]
     for v in nodes:  # master *= z - v, in place
         master.insert(0, 0)
         for i in range(len(master) - 1):
             master[i] = (master[i] - v * master[i + 1]) % p
-    out = []
+    rows = []
     for v in nodes:
         q = _pdiv_linear(master, v, p)
-        denom = eval_dense(q, v, ctx)
-        num = sum(qj * aj for qj, aj in zip(q, rhs)) % p
-        out.append(num * pow(denom, -1, p) % p)
-    return out
+        inv = pow(eval_dense(q, v, ctx), -1, p)
+        rows.append([c * inv % p for c in q])
+    return rows
+
+
+def solve_transposed_vandermonde(
+    nodes: list[int], rhs: list[int], ctx: FieldContext
+) -> list[int]:
+    """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1, with the rows
+    of vandermonde_rows."""
+    if not nodes or len(rhs) != len(nodes):
+        raise ValueError("nodes and rhs must be nonempty and of equal length")
+    p = ctx.p
+    return [sum(map(mul, row, rhs)) % p for row in vandermonde_rows(nodes, ctx)]

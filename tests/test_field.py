@@ -107,7 +107,7 @@ def test_bounded_dlog_shared_table_agrees_with_own_table():
             omega = find_primitive_root(ctx, rng)
         for bound in bounds:
             baby = baby_steps(ctx, omega, bound)
-            s, sub, steps = baby
+            s, sub, steps, _ = baby
             assert (p - 1) % s == 0 and s <= math.isqrt(bound) + 1
             assert len(sub) == s and len(steps) == math.isqrt(bound // s) + 1
             exps = [0, bound, bound + 1] + [rng.randrange(bound + 1) for _ in range(20)]
@@ -133,8 +133,9 @@ def _expected_s(p, bound):
 
 def _tables_for_divisor(p, omega, bound, s):
     # baby_steps' tables for a given divisor s of p - 1 up to isqrt(bound) + 1
+    m = math.isqrt(bound // s) + 1
     return (s, _power_table(pow(omega, (p - 1) // s, p), s, p),
-            _power_table(pow(omega, s, p), math.isqrt(bound // s) + 1, p))
+            _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p))
 
 
 def test_bounded_dlog_brute_force_every_small_prime():

@@ -254,7 +254,7 @@ def test_mc_pairs_known_coefficients_give_the_same_pairs():
     for k in (1, 2, 3):
         plain = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(1),
                          omega=OMEGA, shift_var=k)
-        # known coefficients: values by gcd, and nothing drawn from rng
+        # known coefficients: values by power projection, nothing drawn from rng
         rng = random.Random(1)
         state = rng.getstate()
         oracle = _oracle()
@@ -310,7 +310,7 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
         assert report.succeeded and poly_equal(report.outcome, f)
         assert len(built) == 1 and len(used) == n * t
         assert all(baby is built[0] for baby in used)
-        s, sub, steps = built[0]
+        s, sub, steps, _ = built[0]
         assert s == expected_s
         assert len(sub) == s and len(steps) == math.isqrt(D // s) + 1
         built.clear()
@@ -319,6 +319,55 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
 
 def test_interpolate_builds_no_table_when_the_base_run_fails(monkeypatch):
     built, used = _count_tables(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for T, zeta, reason in [
+            (3, ZETA, FailReason.TOO_FEW_ROOTS),
+            (5, (1, 1, 1), FailReason.DUPLICATE_COEFFICIENT),
+        ]:
+            report = interpolate(
+                _oracle(), 3, T, 5, P101, random.Random(0),
+                omega=OMEGA, alpha=ALPHA, zeta=zeta, force=True,
+            )
+            assert report.fail_reason == reason
+    assert built == [] and used == []
+
+
+def _count_rows(monkeypatch):
+    """Record every set of Vandermonde rows interpolate builds and the rows
+    each roots_by_coefficient call receives."""
+    built, used = [], []
+    real_rows, real_kernel = interpolator.vandermonde_rows, interpolator.roots_by_coefficient
+
+    def vandermonde_rows(*args):
+        built.append(real_rows(*args))
+        return built[-1]
+
+    def roots_by_coefficient(lam, seq, coeffs, ctx, rows=None):
+        used.append(rows)
+        return real_kernel(lam, seq, coeffs, ctx, rows)
+
+    monkeypatch.setattr(interpolator, "vandermonde_rows", vandermonde_rows)
+    monkeypatch.setattr(interpolator, "roots_by_coefficient", roots_by_coefficient)
+    return built, used
+
+
+def test_interpolate_builds_vandermonde_rows_once_per_call(monkeypatch):
+    built, used = _count_rows(monkeypatch)
+    ctx = FieldContext.for_prime(140122640051)
+    rng = random.Random(16)
+    for n, t, D in [(3, 6, 10**6), (2, 4, 15)]:
+        f = random_sparse_polynomial(n, t, D, ctx, rng)
+        report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, t, D, ctx, rng)
+        assert report.succeeded and poly_equal(report.outcome, f)
+        assert len(built) == 1 and len(built[0]) == t and len(used) == n
+        assert all(rows is built[0] for rows in used)
+        built.clear()
+        used.clear()
+
+
+def test_interpolate_builds_no_rows_when_the_base_run_fails(monkeypatch):
+    built, used = _count_rows(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for T, zeta, reason in [

@@ -11,12 +11,14 @@ from sparseip.solvers import (
     _pdivmod,
     _pgcd,
     _ppowmod,
+    _residues,
     _trim,
     berlekamp_massey,
     eval_dense,
     find_distinct_roots,
     roots_by_coefficient,
     solve_transposed_vandermonde,
+    vandermonde_rows,
 )
 
 P101 = FieldContext.for_prime(101)
@@ -264,6 +266,35 @@ def test_pgcd_matches_sympy_gf_gcd():
         assert _pgcd([0], [], p) == []
 
 
+def _pmul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def test_residues_inverse_matches_sympy_gf_gcdex():
+    # The packed extended Euclid against sympy's: a^-1 mod the monic m, or
+    # None when a shares the factor z + g0 planted in m, or is 0 mod p.
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcdex
+
+    rng = random.Random(21)
+    for p in (2, 3, 101, P37, P62):
+        for d in (1, 2, 5, 20, 50):
+            g = [rng.randrange(p), 1]
+            m = _pmul(g, [rng.randrange(p) for _ in range(d - 1)] + [1], p)
+            _, _, _, _, unpack, inverse = _residues(m, p)
+            shared = _pmul(g, _poly(rng, d - 2, p), p) if d > 1 else [0]
+            for a in ([rng.randrange(p) for _ in range(d)], _poly(rng, d - 1, p),
+                      [rng.randrange(1, p)], [0] * d, [p], shared):
+                s, _, h = gf_gcdex(ZZ.map(_trim([x % p for x in a])[::-1]), ZZ.map(m[::-1]), p, ZZ)
+                expected = [int(c) for c in reversed(s)] if h == [1] else None
+                found = inverse(a)
+                assert (found if found is None else unpack(found)) == expected, (p, d, a)
+
+
 @pytest.mark.parametrize(
     "p, t, next_draw",
     [
@@ -344,6 +375,77 @@ def test_roots_by_coefficient_matches_root_finding_brute_force():
     # accepted: t distinct roots (C(5, t) choices) times the ordered lists of
     # t distinct nonzero coefficients (4!/(4-t)!) that the window encodes
     assert len(accepted) == sum(math.comb(5, t) * math.perm(4, t) for t in (1, 2, 3))
+
+
+def _kernel_oracle(lam, seq, coeffs, ctx, rng):
+    # What the kernel must return: root finding plus the solve, matched to
+    # coeffs, or None.
+    t = len(lam) - 1
+    try:
+        roots = find_distinct_roots(lam, ctx, rng)
+    except TooFewRootsError:
+        return None
+    if len(coeffs) != t:
+        return None
+    solved = dict(zip(solve_transposed_vandermonde(roots, seq[:t], ctx), roots))
+    if sorted(solved) != sorted(c % ctx.p for c in coeffs):
+        return None
+    return [solved[c % ctx.p] for c in coeffs]
+
+
+def _monic_from_roots(roots, p):
+    lam = [1]
+    for r in roots:
+        lam = [(a - r * b) % p for a, b in zip([0] + lam, lam + [0])]
+    return lam
+
+
+@pytest.mark.parametrize("p", [140122640051, 4611686018427387847])
+def test_roots_by_coefficient_matches_root_finding_at_large_primes(p):
+    # Planted instances, corrupted probes, shuffled, changed, short, long and
+    # repeated coefficient lists, a zero coefficient, a squared factor and a
+    # random (rarely split) annihilator, with the call's own rows and with
+    # shared ones, against find_distinct_roots plus the transposed
+    # Vandermonde solve.
+    ctx = FieldContext.for_prime(p)
+    rng = random.Random(p % 1000)
+    accepted = 0
+    for t in (1, 2, 5, 10, 50):
+        roots = rng.sample(range(p), t)
+        coeffs = rng.sample(range(1, p), t)
+        seq = _prony_sequence(coeffs, roots, 2 * t, p)
+        lam = _monic_from_roots(roots, p)
+        assert list(berlekamp_massey(seq, ctx).lam) == lam
+        corrupted = list(seq)
+        corrupted[rng.randrange(t)] += 1
+        shuffled = rng.sample(coeffs, t)
+        changed = list(coeffs)
+        changed[rng.randrange(t)] += 1
+        zero = [0] + coeffs[1:]
+        cases = [
+            (lam, seq, coeffs),
+            (lam, seq, shuffled),
+            (lam, corrupted, coeffs),
+            (lam, seq, changed),
+            (lam, seq, coeffs[:-1]),
+            (lam, seq, coeffs + [rng.randrange(1, p)]),
+            (lam, seq, [coeffs[0]] * t),
+            (lam, _prony_sequence(zero, roots, t, p), zero),
+            (_monic_from_roots(roots[:-1] + roots[:1], p), seq, coeffs),
+            ([rng.randrange(p) for _ in range(t)] + [1], seq, coeffs),
+        ]
+        for case_lam, case_seq, case_coeffs in cases:
+            expected = _kernel_oracle(case_lam, case_seq, case_coeffs, ctx, rng)
+            found = roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx)
+            assert found == expected
+            if len(set(case_coeffs)) == len(case_coeffs):
+                rows = vandermonde_rows(case_coeffs, ctx)
+                assert roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx, rows) == expected
+            accepted += expected is not None
+        assert roots_by_coefficient(lam, seq, shuffled, ctx) == [
+            roots[coeffs.index(c)] for c in shuffled
+        ]
+    assert accepted >= 3 * 5
 
 
 def test_vandermonde_golden():
