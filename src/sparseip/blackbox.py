@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import random
 import threading
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+from math import prod
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .field import FieldContext, check_modulus, sample_nonzero
@@ -19,6 +24,14 @@ Term = tuple[int, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class SparsePolynomial:
+    """n variables and terms (c, e) with e of length n.
+
+    evaluate reads a private plan that is built lazily, on first use, and
+    then kept in the instance: per variable, the gaps between 0 and the
+    column's sorted distinct exponents, and one flat array of t*n table
+    slots. It is not a field, so ==, hash and repr see only n and terms.
+    """
+
     n: int
     terms: tuple[Term, ...]
 
@@ -30,6 +43,24 @@ class SparsePolynomial:
     @property
     def term_count(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[tuple[int, ...], ...], array]:
+        """(gaps, slots). Column j fills table entries start_j ... with
+        x_j^0 = 1 and then x_j raised to each distinct exponent in ascending
+        order, gaps[j] holding the steps between them; slots[i*n + j] is
+        the entry of x_j^(e_ij). Depends on no prime and no point."""
+        gaps, where = [], []
+        start = 0
+        for column in zip(*map(itemgetter(1), self.terms)):
+            exps = sorted({0, *column})
+            if exps[0] < 0:
+                raise ValueError("exponents must be nonnegative")
+            gaps.append(tuple(b - a for a, b in zip(exps, exps[1:])))
+            where.append({d: start + k for k, d in enumerate(exps)})
+            start += len(exps)
+        slots = array("I", [w[d] for _, e in self.terms for w, d in zip(where, e)])
+        return tuple(gaps), slots
 
 
 def sparse_polynomial(n: int, terms: Sequence[Term], ctx: FieldContext) -> SparsePolynomial:
@@ -50,18 +81,27 @@ def sparse_polynomial(n: int, terms: Sequence[Term], ctx: FieldContext) -> Spars
 
 
 def evaluate(f: SparsePolynomial, point: Sequence[int], ctx: FieldContext) -> int:
-    """f at a point in (F_p)^n, each power by square-and-multiply."""
+    """f(point) mod p, in [0, p), for any integer point of length n.
+
+    The terms share each coordinate's powers: x_j walks up its column's
+    sorted distinct exponents once (an addition sequence, Yao 1976), one pow
+    per step with the bits of a gap rather than of an exponent. Then come
+    t*n table lookups and t products. Nothing is kept between points."""
     if len(point) != f.n:
         raise ValueError("point length does not match variable count")
     p = ctx.p
-    total = 0
-    for c, e in f.terms:
-        term = c
-        for x, k in zip(point, e):
-            if k:
-                term = term * pow(x, k, p) % p
-        total = (total + term) % p
-    return total
+    gaps, slots = f._plan
+    table: list[int] = []
+    append = table.append
+    for x, column in zip(point, gaps):
+        v = 1
+        append(v)
+        for gap in column:
+            v = v * pow(x, gap, p) % p
+            append(v)
+    # One iterator repeated n times: zip reads each term's n slots in turn.
+    powers = map(table.__getitem__, slots)
+    return sum(map(prod, zip(map(itemgetter(0), f.terms), *repeat(powers, f.n)))) % p
 
 
 def poly_equal(f: SparsePolynomial, g: SparsePolynomial) -> bool:

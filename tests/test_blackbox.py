@@ -1,11 +1,14 @@
 import random
+import sys
 import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparseip.blackbox import (
     EvaluationOracle,
+    SparsePolynomial,
     evaluate,
     format_instance,
     parse_instance,
@@ -58,6 +61,104 @@ def test_evaluate_empty():
 def test_evaluate_wrong_arity():
     with pytest.raises(ValueError):
         evaluate(EXAMPLE, (1, 2), P101)
+
+
+def _evaluate_per_term(f, point, p):
+    """The per-(term, variable) pow formula that evaluate replaced."""
+    total = 0
+    for c, e in f.terms:
+        term = c
+        for x, k in zip(point, e):
+            if k:
+                term = term * pow(x, k, p) % p
+        total = (total + term) % p
+    return total
+
+
+ORACLE_FIELDS = [FieldContext.for_prime(p) for p in (101, 140122640051)]
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.data())
+def test_evaluate_matches_per_term_pow(data):
+    # Small exponents repeat within a column and give all-zero vectors;
+    # coefficients may be unreduced or negative, coordinates 0, negative or
+    # >= p. The polynomial is built directly, as parse_instance builds one,
+    # and canonically; both are evaluated at several points in turn.
+    ctx = data.draw(st.sampled_from(ORACLE_FIELDS))
+    p = ctx.p
+    n = data.draw(st.integers(0, 4))
+    exponent = st.one_of(st.integers(0, 3), st.sampled_from([p - 3, p - 2]), st.integers(0, p - 2))
+    coefficient = st.one_of(st.integers(1, p - 1), st.integers(-3 * p, 3 * p))
+    coordinate = st.one_of(st.sampled_from([0, 1, -1, p - 1, p, p + 1]), st.integers(-3 * p, 3 * p))
+    terms = data.draw(st.lists(st.tuples(coefficient, st.tuples(*[exponent] * n)), max_size=8))
+    points = data.draw(st.lists(st.tuples(*[coordinate] * n), min_size=1, max_size=4))
+    direct = SparsePolynomial(n, tuple(terms))
+    canonical = sparse_polynomial(n, terms, ctx)
+    for point in points:
+        expected = _evaluate_per_term(direct, point, p)
+        assert evaluate(direct, point, ctx) == expected
+        assert evaluate(canonical, point, ctx) == expected == _evaluate_per_term(canonical, point, p)
+
+
+def test_evaluate_zero_polynomial_in_every_arity():
+    for n in range(5):
+        for f in (SparsePolynomial(n, ()), sparse_polynomial(n, [(101, (0,) * n)], P101)):
+            assert evaluate(f, (3,) * n, P101) == 0
+    assert evaluate(SparsePolynomial(0, ((-5, ()),)), (), P101) == 96
+
+
+def test_evaluate_rejects_negative_exponents():
+    f = SparsePolynomial(2, ((1, (0, 3)), (2, (-1, 1))))
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate(f, (4, 5), P101)
+
+
+def test_evaluation_plan_is_lazy_kept_and_invisible():
+    f = random_sparse_polynomial(3, 20, 30, P101, random.Random(27))
+    twin = SparsePolynomial(f.n, f.terms)
+    parsed, _, _ = parse_instance(format_instance(f, 101, 30))
+    assert all("_plan" not in vars(g) for g in (f, twin, parsed))  # built on first use only
+    plan = None
+    for k in range(50):
+        point = (k, 2 * k + 1, 101 - k)
+        assert evaluate(f, point, P101) == _evaluate_per_term(f, point, 101)
+        if plan is None:
+            plan = vars(f)["_plan"]
+        assert f._plan is plan
+    assert f == twin == parsed and hash(f) == hash(twin) == hash(parsed)
+    assert repr(f) == repr(twin) == repr(parsed) and "_plan" not in repr(f)
+    assert poly_equal(f, twin) and poly_equal(parsed, f)
+    for name, value in (("n", 4), ("terms", ()), ("_plan", None)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(f, name, value)
+    assert f._plan is plan
+
+
+def test_evaluation_plan_first_use_from_many_threads():
+    # Threads may race to build the plan; every one must still read f(point).
+    polys = [random_sparse_polynomial(3, 12, 40, P101, random.Random(28 + k)) for k in range(20)]
+    points = [(k, 3 * k + 2, 100 - k) for k in range(10)]
+    expected = [[_evaluate_per_term(f, x, 101) for x in points] for f in polys]
+    errors = []
+
+    def worker():
+        for f, want in zip(polys, expected):
+            if [evaluate(f, x, P101) for x in points] != want:
+                errors.append(f)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
 
 
 def test_poly_equal():

@@ -490,6 +490,37 @@ def test_bm_roots_duality():
         assert find_distinct_roots(list(rec.lam), ctx, rng) == sorted(ratios)
 
 
+def test_split_annihilator_never_gets_a_zero_weight_small_fields():
+    """Every sequence of length 2, 4 and 6 over F_3 and F_5: whenever the
+    Berlekamp-Massey annihilator splits into distinct roots, the transposed
+    Vandermonde solve gives no zero weight.
+
+    Distinct roots r_1..r_t make the sequences generated by Lambda over the
+    window exactly the sums of w_i r_i^j (with 0^0 = 1), and the first t
+    values fix the weights. If some w_k were 0, Lambda/(z - r_k), of degree
+    t - 1, would generate the whole window, and Lambda would not be the
+    minimal generator that berlekamp_massey returns. So mc_pairs' check for
+    a zero scaled coefficient (FailReason.ZERO_COEFFICIENT) cannot fire on a
+    run whose annihilator split."""
+    rng = random.Random(15)
+    split = 0
+    for p in (3, 5):
+        ctx = FieldContext.for_prime(p)
+        for length in (2, 4, 6):
+            for seq in itertools.product(range(p), repeat=length):
+                rec = berlekamp_massey(list(seq), ctx)
+                if rec.t == 0:
+                    continue
+                try:
+                    roots = find_distinct_roots(list(rec.lam), ctx, rng)
+                except TooFewRootsError:
+                    continue
+                split += 1
+                weights = solve_transposed_vandermonde(roots, list(seq[: rec.t]), ctx)
+                assert 0 not in weights, (p, seq, roots, weights)
+    assert split > 1000
+
+
 def test_eval_dense():
     assert eval_dense(LAMBDA_101, 1, P101) == 0
     assert eval_dense([], 42, P101) == 0
