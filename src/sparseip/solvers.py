@@ -9,11 +9,11 @@ zeros; [] is the zero polynomial.
 _residues packs each residue modulo a polynomial into one int (Kronecker
 substitution) and runs only whole-int products, shifts and masks: an exact
 polynomial Barrett quotient, an integer Barrett step that reduces every slot
-mod p at once (SWAR, Fisher & Dietz 1998), and a division-free extended
-Euclid. Root finding's gcds keep schoolbook division, as their quotients
-are mostly linear; _pdivmod divides by any nonzero divisor, so Euclid makes
-only its last remainder monic (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 3).
+mod p at once (SWAR, Fisher & Dietz 1998), powering, and one division-free
+extended Euclid that gives inverses, monic gcds and exact quotients by the
+gcd. Root finding and the known-coefficient kernel both run on it, one ring
+per modulus (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 3 and
+14).
 """
 
 from __future__ import annotations
@@ -101,23 +101,6 @@ def berlekamp_massey(sequence: list[int], ctx: FieldContext) -> RecurrenceResult
     return RecurrenceResult(length, lam)
 
 
-def _pdivmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by any nonzero m without trailing zeros.
-    The leading coefficient of m is inverted once: pow(0, -1, p) raises if m
-    is not trimmed, and m = [] raises IndexError."""
-    a = list(a)
-    dm = len(m) - 1
-    inv = pow(m[-1], -1, p)
-    quot = [0] * max(0, len(a) - dm)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] * inv % p
-        if c:
-            quot[i - dm] = c
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return _trim(quot), _trim(a[:dm])
-
-
 def _pdiv_linear(a: list[int], u: int, p: int) -> list[int]:
     """Quotient of a by (z - u), synthetic division; the remainder a(u) is
     dropped."""
@@ -129,25 +112,15 @@ def _pdiv_linear(a: list[int], u: int, p: int) -> list[int]:
     return q
 
 
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of a and b, which need not be trimmed; gcd(0, 0) = [].
-
-    Euclid divides by each remainder as it comes: a mod b is the same for
-    every nonzero multiple of b, so only the last remainder is made monic.
-    """
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _pdivmod(a, b, p)[1]
-    inv = pow(a[-1], -1, p) if a else 0
-    return [c * inv % p for c in a]
-
-
 def _residues(m: list[int], p: int):
     """Packed residues modulo the monic m of degree d >= 1: (w, pack, red,
-    reduce, unpack, inverse). pack puts coefficient i in the w-bit slot i of
-    one int, red reduces slots below 2^B (B below) to [0, v], reduce maps a
-    product of two residues to a residue, unpack gives the trimmed list
-    back, and inverse(a) is a^-1 mod m, or None if gcd(a, m) != 1.
+    reduce, unpack, power, gcd). pack puts coefficient i in the w-bit slot i
+    of one int, red reduces slots below 2^B (B below) to [0, v], reduce maps
+    a product of two residues to a residue, unpack gives the trimmed list
+    back, and power(b, e) is b^e for a residue b. gcd(a), for a list a of
+    degree < d, is (k, g, u), g and u packed: g = gcd(a, m), monic of degree
+    k, and u = a^-1 mod m if k = 0, else the exact quotient m/g. gcd(0, m)
+    = m has k = d, and unpack, which reads d slots, drops its leading 1.
 
     A packed residue has degree < d and slots lazily reduced to [0, v],
     v = 3p - 1; only unpack reduces them fully. A product x = H z^d + L
@@ -195,11 +168,22 @@ def _residues(m: list[int], p: int):
     def unpack(x: int) -> list[int]:
         return _trim([(x >> i & mask) % p for i in range(0, dw, w)])
 
-    def inverse(a: list[int]) -> Optional[int]:
+    def power(b: int, e: int) -> int:
+        r = b if e else 1
+        for bit in bin(e)[3:]:
+            r = reduce(r * r)
+            if bit == "1":
+                r = reduce(r * b)
+        return r
+
+    def gcd(a: list[int]) -> tuple[int, int, int]:
         # Extended Euclid without divisions: r0 <- l1 r0 - l0 z^k r1 (l0, l1
         # leading coefficients), and u_i a = r_i mod m for the cofactors.
         # big keeps slots nonnegative. Slots at and above deg r0, and at and
-        # above d in z^k u1 (deg u < d), are 0 mod p and masked off.
+        # above d in z^k u1 (deg u < d), are 0 mod p and masked off; those
+        # above deg u are 0 mod p, so (x >> i w) % p is slot i mod p. A
+        # constant remainder means gcd 1. Once r1 = 0, u1 a = 0 mod m and
+        # deg u1 = d - deg r0 make u1 a constant multiple of m/gcd.
         a = _trim([x % p for x in a])
         r0, d0, u0, r1, d1, u1 = pack(m), d, 0, pack(a), len(a) - 1, 1
         while d1 > 0:
@@ -213,7 +197,10 @@ def _residues(m: list[int], p: int):
                     r0 &= (1 << d0 * w) - 1
                     d0 -= 1
             r0, d0, u0, r1, d1, u1 = r1, d1, u1, r0, d0, u0
-        return red(u1 * pow(r1 % p, -1, p)) if r1 else None
+        if d1 == 0:
+            return 0, 1, red(u1 * pow(r1 % p, -1, p))
+        g = red(r0 * pow((r0 >> d0 * w) % p, -1, p))
+        return d0, g, red(u1 * pow((u1 >> (d - d0) * w) % p, -1, p))
 
     rev_m = m[-2::-1]  # coefficients of z, z^2, ... in rev(m) = z^d m(1/z)
     inv = [1]  # rev(m)^-1 mod z^d, whose reversal is mu
@@ -221,31 +208,23 @@ def _residues(m: list[int], p: int):
         inv.append(-sum(map(mul, rev_m, reversed(inv))) % p)
     mu, m_low = pack(inv[::-1]), pack(m[:d])
     big = 3 * p * p * (ones << w | 1)  # 3p^2 in each of d + 1 slots
-    return w, pack, red, reduce, unpack, inverse
-
-
-def _ppowmod(base: list[int], e: int, m: list[int], p: int) -> list[int]:
-    """base^e mod the monic m of degree d >= 1, on packed residues."""
-    _, pack, _, reduce, unpack, _ = _residues(m, p)
-    b = pack(_pdivmod(base, m, p)[1])
-    r = b if e else 1
-    for bit in bin(e)[3:]:
-        r = reduce(r * r)
-        if bit == "1":
-            r = reduce(r * b)
-    return unpack(r)
+    return w, pack, red, reduce, unpack, power, gcd
 
 
 def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -> list[int]:
     """All roots of a monic polynomial with coefficients in [0, p), as
     berlekamp_massey gives them, required to be simple and to account for
-    the full degree.
+    the full degree. Returns the roots sorted ascending.
 
-    Computes g = gcd(z^p - z, lam); if deg g < deg lam the polynomial has
-    repeated or non-linear factors and TooFewRootsError is raised. Otherwise
-    g == lam, which is split into linear factors by random
-    (z+delta)^((p-1)/2) splittings.
-    Returns the roots sorted ascending.
+    lam has deg lam distinct roots in F_p exactly when it divides z^p - z,
+    that is when z^p = z mod lam: one packed power decides. Otherwise
+    TooFewRootsError names deg gcd(z^p - z, lam), the number of distinct
+    roots. A split lam is factored by equal-degree splitting: a factor h of
+    degree d > 1 with h(0) != 0 splits as g = gcd((z + delta)^((p-1)/2) - 1,
+    h) and h/g whenever 0 < deg g < d, for delta = rng.randrange(p), one
+    draw per attempt (von zur Gathen & Gerhard, Modern Computer Algebra,
+    ch. 14). All arithmetic modulo h runs on one packed ring per factor.
+    A factor of degree 1 gives its root -h(0) without a ring or a draw.
     """
     p = ctx.p
     lam = _trim(list(lam))
@@ -256,21 +235,22 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
         return []
     if lam[-1] != 1:
         raise ValueError("polynomial must be monic")
-    xp = _ppowmod([0, 1], p, lam, p) + [0, 0]
-    xp[1] = (xp[1] - 1) % p
-    g = _pgcd(xp, lam, p)
-    if len(g) - 1 < t:
-        raise TooFewRootsError(f"only {len(g) - 1} distinct roots for degree {t}")
-    # Equal-degree splitting down to linear factors. Expected O(log t)
-    # splittings per factor; the attempt cap guards against RNG pathology.
+    if t == 1:
+        return [(-lam[0]) % p]
+    w, pack, _, _, unpack, power, gcd = ring = _residues(lam, p)
+    zp_z = unpack(power(pack([0, 1]), p) + (p - 1 << w))  # z^p - z
+    if zp_z:
+        raise TooFewRootsError(f"only {gcd(zp_z)[0]} distinct roots for degree {t}")
+    # Expected O(log t) splittings per factor; the attempt cap guards
+    # against RNG pathology.
     attempt_limit = 64 * (1 + t.bit_length())
     attempts = 0
     half = (p - 1) // 2
     roots: list[int] = []
-    stack = [lam]  # g is monic of degree t, so g == lam
+    stack = [lam]
     while stack:
         h = stack.pop()
-        d = len(h) - 1  # >= 1: lam and every proper factor pushed below
+        d = len(h) - 1
         if d == 1:
             roots.append((-h[0]) % p)
             continue
@@ -278,6 +258,8 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
             roots.append(0)
             stack.append(h[1:])
             continue
+        # lam's ring, built for the z^p test, serves lam's own splits
+        _, pack, _, _, unpack, power, gcd = ring if h is lam else _residues(h, p)
         while True:
             attempts += 1
             if attempts > attempt_limit:
@@ -285,15 +267,11 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
                     f"no proper split of a degree-{d} factor after {attempts} attempts"
                 )
             delta = rng.randrange(p)
-            # Never zero: h has distinct roots in F_p, not all -delta (half = 0 at p = 2).
-            w = _ppowmod([delta, 1], half, h, p)
-            w[0] = (w[0] - 1) % p
-            g1 = _pgcd(w, h, p)
-            if 0 < len(g1) - 1 < d:
-                g2, rem = _pdivmod(h, g1, p)
-                assert not rem
-                stack.append(g1)
-                stack.append(g2)
+            # (z + delta)^half - 1; at p = 2 no factor of degree > 1 with
+            # h(0) != 0 has distinct roots, so half = 0 never gets here.
+            k, g, u = gcd(unpack(power(pack([delta, 1]), half) + p - 1))
+            if 0 < k < d:
+                stack += [unpack(g), unpack(u)]
                 break
     return sorted(roots)
 
@@ -346,9 +324,9 @@ def roots_by_coefficient(
     if not t:
         return []
     lam = [x % p for x in lam]
-    w, pack, red, reduce, unpack, inverse = _residues(lam, p)
-    inv = inverse([k * lam[k] for k in range(1, t + 1)])
-    if inv is None:
+    w, pack, red, reduce, unpack, _, gcd = _residues(lam, p)
+    common, _, inv = gcd([i * lam[i] for i in range(1, t + 1)])
+    if common:  # deg gcd(lam', lam) > 0
         return None
     if rows is None:
         rows = vandermonde_rows(coeffs, ctx)

@@ -223,6 +223,30 @@ def test_success_probability_bound():
         success_probability_bound(1, 1, 1, 1)
 
 
+def test_success_rate_is_not_below_the_bound():
+    # At q = 641, n = 2, T = 4, D = 8 the bound is 0.7 (q is below the
+    # guarantee threshold, so force=True). Over 300 seeded calls on random
+    # instances every success must be exact, and a one-sided binomial test
+    # (scipy, test-only) must not find the success count below the bound.
+    from scipy.stats import binomtest
+
+    n, T, D, q, calls = 2, 4, 8, 641, 300
+    ctx = FieldContext.for_prime(q)
+    bound = success_probability_bound(n, T, D, q)
+    assert Fraction(1, 2) < bound < Fraction(19, 20)
+    successes = 0
+    for seed in range(calls):
+        rng = random.Random(seed)
+        f = random_sparse_polynomial(n, T, D, ctx, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, T, D, ctx, rng, force=True)
+        if report.succeeded:
+            assert poly_equal(report.outcome, f), seed
+            successes += 1
+    assert binomtest(successes, calls, float(bound), alternative="less").pvalue > 1e-3
+
+
 def test_min_field_size():
     assert min_field_size(3, 5, 5, Fraction(1, 4)) == 1001
     assert min_field_size(3, 1, 5, Fraction(1, 4)) == 2
@@ -277,6 +301,42 @@ def test_mc_pairs_fail_names_its_run():
     with pytest.raises(InterpolationFailure) as shifted:
         mc_pairs(_oracle(), ALPHA, ZETA, 3, P101, random.Random(0), omega=OMEGA, shift_var=3)
     assert str(shifted.value) == "variable 3: only 1 distinct roots for degree 3"
+
+
+def _planted_oracle(lam, p):
+    # n = 1, alpha = 2, zeta = 1: probe j is at 2^j (2 generates F_101^*)
+    # and returns the j-th term of lam's impulse response, 0, .., 0, 1 and
+    # then lam's recurrence, whose minimal generator is lam.
+    t = len(lam) - 1
+    seq = [0] * (t - 1) + [1]
+    for i in range(t):
+        seq.append(-sum(c * a for c, a in zip(lam, seq[i:])) % p)
+    index = {pow(2, j, p): j for j in range(2 * t)}
+    return EvaluationOracle(lambda point: seq[index[point[0]]])
+
+
+@pytest.mark.parametrize(
+    "lam, detail",
+    [
+        ([56, 39, 90, 1], "only 2 distinct roots for degree 3"),  # (z-3)^2 (z-5)
+        ([97, 6, 0, 98, 1], "only 2 distinct roots for degree 4"),  # (z-1)(z-2)(z^2-2)
+        ([99, 0, 1], "only 0 distinct roots for degree 2"),  # z^2 - 2, 2 a non-residue
+    ],
+)
+def test_too_few_roots_detail_reaches_the_report(lam, detail):
+    t = len(lam) - 1
+    with pytest.raises(InterpolationFailure) as exc:
+        mc_pairs(_planted_oracle(lam, 101), (2,), (1,), t, P101, random.Random(0))
+    assert str(exc.value) == f"base run: {detail}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = interpolate(
+            _planted_oracle(lam, 101), 1, t, 5, P101, random.Random(0),
+            omega=OMEGA, alpha=(2,), zeta=(1,), force=True,
+        )
+    assert report.fail_reason == FailReason.TOO_FEW_ROOTS
+    assert report.fail_detail == f"base run: {detail}"
+    assert report.probes == 2 * t
 
 
 def _count_tables(monkeypatch):

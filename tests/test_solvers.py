@@ -8,9 +8,6 @@ from sparseip.field import FieldContext, is_primitive_root
 from sparseip.solvers import (
     SplittingBudgetError,
     TooFewRootsError,
-    _pdivmod,
-    _pgcd,
-    _ppowmod,
     _residues,
     _trim,
     berlekamp_massey,
@@ -96,6 +93,15 @@ def test_roots_golden():
 def test_roots_linear():
     rng = random.Random(8)
     assert find_distinct_roots([96, 1], P101, rng) == [5]  # z - 5
+    # A degree-1 lam holds no reduced z; its root is -lam[0] at once, with
+    # no draw.
+    for p in (2, 3, 101, P37, P62):
+        ctx = FieldContext.for_prime(p)
+        for c in {0, 1, p - 1, p // 3}:
+            rng = _RecordingRandom()
+            state = rng.getstate()
+            assert find_distinct_roots([c, 1], ctx, rng) == [(-c) % p]
+            assert not rng.calls and rng.getstate() == state
 
 
 def test_roots_constant():
@@ -118,6 +124,92 @@ def test_roots_irreducible_raises():
     nonresidue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
     with pytest.raises(TooFewRootsError):
         find_distinct_roots([(-nonresidue) % p, 0, 1], P101, rng)
+
+
+def _product(factors, p):
+    out = [1]
+    for f in factors:
+        out = _pmul(out, f, p)
+    return out
+
+
+NONRESIDUE_101 = 2  # 101 = 5 mod 8
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ([[98, 1], [98, 1], [96, 1]], "only 2 distinct roots for degree 3"),  # (z-3)^2 (z-5)
+        ([[100, 1], [99, 1], [101 - NONRESIDUE_101, 0, 1]], "only 2 distinct roots for degree 4"),
+        ([[101 - NONRESIDUE_101, 0, 1]], "only 0 distinct roots for degree 2"),
+    ],
+)
+def test_roots_fail_message_counts_distinct_roots(factors, message):
+    # The message reaches InterpReport.fail_detail, so its text is pinned.
+    rng = random.Random(16)
+    state = rng.getstate()
+    with pytest.raises(TooFewRootsError) as exc:
+        find_distinct_roots(_product(factors, 101), P101, rng)
+    assert str(exc.value) == message
+    assert rng.getstate() == state
+
+
+class _RecordingRandom(random.Random):
+    """Records the arguments of every randrange call; returns scripted
+    values first, then draws as usual."""
+
+    def __init__(self, script=()):
+        super().__init__(0)
+        self.script, self.calls = list(script), []
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return self.script.pop(0) if self.script else super().randrange(*args)
+
+
+def test_roots_every_small_monic_against_brute_force():
+    # Every monic lam of degree <= 4 over F_2, F_3 and F_5 (at p = 2,
+    # (p - 1) / 2 = 0): the sorted roots when they are deg lam distinct ones,
+    # else the distinct-root count in the message. Only randrange(p) draws,
+    # once per splitting attempt, and nothing else touches the state.
+    for p in (2, 3, 5):
+        ctx = FieldContext.for_prime(p)
+        for deg in range(1, 5):
+            for low in itertools.product(range(p), repeat=deg):
+                lam = [*low, 1]
+                brute = [x for x in range(p) if eval_dense(lam, x, ctx) == 0]
+                rng = _RecordingRandom()
+                if len(brute) == deg:
+                    assert find_distinct_roots(lam, ctx, rng) == brute
+                else:
+                    with pytest.raises(TooFewRootsError) as exc:
+                        find_distinct_roots(lam, ctx, rng)
+                    assert str(exc.value) == f"only {len(brute)} distinct roots for degree {deg}"
+                    assert not rng.calls
+                assert set(rng.calls) <= {(p,)}
+                replay = random.Random(0)
+                for _ in rng.calls:
+                    replay.randrange(p)
+                assert rng.getstate() == replay.getstate()
+
+
+def test_roots_split_retries_when_gcd_is_h_or_1():
+    # h = (z - 1)(z - 4) over F_101. A delta with 1 + delta and 4 + delta
+    # both squares gives (z + delta)^50 - 1 = 0 mod h, so gcd = h; both
+    # non-squares give the nonzero constant -2, so gcd = 1. Neither splits;
+    # a mixed delta does, into two monic linear factors.
+    p = 101
+
+    def square(x):
+        return pow(x, 50, p) == 1
+
+    kinds = {}
+    for delta in range(p):
+        kinds.setdefault((square(1 + delta), square(4 + delta)), delta)
+    script = [kinds[True, True], kinds[False, False], kinds[True, False]]
+    rng = _RecordingRandom(script)
+    assert find_distinct_roots([4, 96, 1], P101, rng) == [1, 4]
+    assert rng.calls == [(p,)] * 3
 
 
 def test_roots_match_brute_force_small_fields():
@@ -164,34 +256,38 @@ P37 = 140122640051
 P62 = 4611686018427387847
 
 
-def test_ppowmod_matches_sympy_gf_pow_mod():
+def test_residues_power_matches_sympy_gf_pow_mod():
     # sympy (test-only oracle) lists coefficients highest first. Each base of
-    # degree d + 1 must first be reduced mod m. A slot one byte narrower than
-    # _ppowmod's overflows here. d = 200 runs once: sympy takes about 2 s on
-    # it.
+    # degree d + 1 is first reduced mod m by sympy, as power takes residues.
+    # A slot one byte narrower than the ring's overflows here. d = 200 runs
+    # once: sympy takes about 2 s on it.
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_pow_mod
+    from sympy.polys.galoistools import gf_pow_mod, gf_rem
 
     rng = random.Random(18)
     cases = [(p, d) for p in (2, 3, 5, 101, P37, P62) for d in (1, 2, 3, 50)] + [(P62, 200)]
     for p, d in cases:
         m = [rng.randrange(p) for _ in range(d)] + [1]
         base = [rng.randrange(p) for _ in range(d + 1)] + [rng.randrange(1, p)]
+        _, pack, _, _, unpack, power, _ = _residues(m, p)
         runs = [([0, 1], p), (base, (p - 1) // 2), (base, 0)] if d < 200 else [(base, (p - 1) // 2)]
         for f, e in runs:
             expected = gf_pow_mod(ZZ.map(f[::-1]), e, ZZ.map(m[::-1]), p, ZZ)
-            assert _ppowmod(f, e, m, p) == [int(c) for c in reversed(expected)], (p, d, e)
+            b = [int(c) for c in reversed(gf_rem(ZZ.map(f[::-1]), ZZ.map(m[::-1]), p, ZZ))]
+            assert unpack(power(pack(b), e)) == [int(c) for c in reversed(expected)], (p, d, e)
 
 
 def _powmod_by_division(base, e, m, p):
-    # Plain square-and-multiply on unpacked lists. Each schoolbook product is
-    # reduced as low + sum_k high_k (z^(d+k) mod m), with z^(d+k) mod m from
-    # _pdivmod, one degree at a time.
+    # Plain square-and-multiply on unpacked lists, for a base of degree < d.
+    # Each schoolbook product is reduced as low + sum_k high_k (z^(d+k) mod m),
+    # where z^(d+k) mod m is z times z^(d+k-1) mod m, less its top
+    # coefficient times the monic m.
     d = len(m) - 1
     rows, row = [], [0] * (d - 1) + [1]
     for _ in range(d - 1):
-        row = _pdivmod([0] + row, m, p)[1]
-        rows.append(row + [0] * (d - len(row)))
+        row = [0] + row
+        row = [(x - row[d] * y) % p for x, y in zip(row[:d], m)]
+        rows.append(row)
     cols = [[row[j] for row in rows] for j in range(d)]
 
     def mulmod(a, b):
@@ -201,15 +297,15 @@ def _powmod_by_division(base, e, m, p):
         high = prod[d:]
         return [(prod[j] + sum(map(int.__mul__, high, cols[j]))) % p for j in range(d)]
 
-    b, r = _pdivmod(base, m, p)[1], [1]
+    r = [1]
     for bit in bin(e)[2:]:
         r = mulmod(r, r)
         if bit == "1":
-            r = mulmod(r, b)
+            r = mulmod(r, base)
     return _trim(r)
 
 
-def test_ppowmod_worst_case_slots_match_plain_square_and_multiply():
+def test_residues_power_worst_case_slots_match_plain_square_and_multiply():
     # Every coefficient of the base and of the modulus is p - 1, so the first
     # square fills the middle slot with d (p - 1)^2; the second modulus has
     # m(0) = 0 as well, and d = 1 has no quotient slots. The oracle takes
@@ -220,9 +316,10 @@ def test_ppowmod_worst_case_slots_match_plain_square_and_multiply():
         for d in (1, 2, 3, 50, 200):
             exponents = (0, 1, p, (p - 1) // 2) if d < 200 or p < 5 else (0, 1, 5)
             for m in ([p - 1] * d + [1], [0] + [p - 1] * (d - 1) + [1]):
+                _, pack, _, _, unpack, power, _ = _residues(m, p)
                 for e in exponents:
                     base = [p - 1] * d
-                    assert _ppowmod(base, e, m, p) == _powmod_by_division(base, e, m, p), (p, d, e)
+                    assert unpack(power(pack(base), e)) == _powmod_by_division(base, e, m, p), (p, d, e)
 
 
 def _poly(rng, deg, p):
@@ -230,40 +327,37 @@ def _poly(rng, deg, p):
     return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
 
 
-def test_pdivmod_matches_sympy_gf_div_for_any_nonzero_divisor():
-    # Divisors are not monic, constants included, and some dividends are of
-    # lower degree than the divisor or carry trailing zeros.
+def test_residues_gcd_and_cofactor_match_sympy():
+    # gcd(a) against gf_gcd and gf_quo (test-only oracles): a common factor
+    # of every degree k = 0 .. d is planted in m and in a non-monic a of
+    # degree < d, whose other factor may share more with m; k = d is a = 0.
+    # A nonzero constant has gcd 1 and its inverse as cofactor. unpack reads
+    # d slots, so the monic g is compared only for deg g < d.
     from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_div
-
-    rng = random.Random(19)
-    for p in (2, 3, 101, P37, P62):
-        for da, dm in ((0, 0), (4, 0), (1, 1), (6, 2), (2, 5), (7, 7), (12, 4)):
-            a, m = _poly(rng, da, p), _poly(rng, dm, p)
-            q, r = gf_div(ZZ.map(a[::-1]), ZZ.map(m[::-1]), p, ZZ)
-            expected = ([int(c) for c in reversed(q)], [int(c) for c in reversed(r)])
-            assert _pdivmod(a, m, p) == expected, (p, da, dm)
-            assert _pdivmod(a + [0, 0], m, p) == expected, (p, da, dm)
-        assert _pdivmod([], _poly(rng, 3, p), p) == ([], [])
-
-
-def test_pgcd_matches_sympy_gf_gcd():
-    # Operands share a planted factor and have non-monic leading
-    # coefficients; _pgcd trims their trailing zeros and returns the monic
-    # gcd, as gf_gcd does. A zero operand gives the other one made monic.
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_gcd, gf_mul
+    from sympy.polys.galoistools import gf_gcd, gf_gcdex, gf_quo
 
     rng = random.Random(20)
     for p in (2, 3, 101, P37, P62):
-        for dg, du, dv in ((0, 3, 2), (1, 0, 4), (2, 3, 3), (5, 6, 1), (3, 0, 0)):
-            g = ZZ.map(_poly(rng, dg, p)[::-1])
-            a = [int(c) for c in reversed(gf_mul(g, ZZ.map(_poly(rng, du, p)[::-1]), p, ZZ))]
-            b = [int(c) for c in reversed(gf_mul(g, ZZ.map(_poly(rng, dv, p)[::-1]), p, ZZ))]
-            for x, y in ((a, b), (b, a), (a, []), ([], b)):
-                expected = gf_gcd(ZZ.map(x[::-1]), ZZ.map(y[::-1]), p, ZZ)
-                assert _pgcd(x + [0], y + [0, 0], p) == [int(c) for c in reversed(expected)]
-        assert _pgcd([0], [], p) == []
+        for d in (1, 2, 3, 6, 12):
+            for k in range(d + 1):
+                g = _poly(rng, k, p)
+                m = _pmul(g, [rng.randrange(p) for _ in range(d - k)] + [1], p)
+                m = [c * pow(m[-1], -1, p) % p for c in m]
+                _, _, _, _, unpack, _, gcd = _residues(m, p)
+                cases = [_pmul(g, _poly(rng, rng.randrange(d - k), p), p)] if k < d else []
+                for a in cases + [[], [0] * d, [p], [rng.randrange(1, p)]]:
+                    mm, aa = ZZ.map(m[::-1]), ZZ.map(_trim([x % p for x in a])[::-1])
+                    expected = gf_gcd(aa, mm, p, ZZ)
+                    found_k, found_g, u = gcd(a)
+                    assert found_k == len(expected) - 1, (p, d, k, a)
+                    if found_k == 0:
+                        inverse = gf_gcdex(aa, mm, p, ZZ)[0]
+                        assert found_g == 1 and unpack(u) == [int(c) for c in reversed(inverse)]
+                        continue
+                    quo = [int(c) for c in reversed(gf_quo(mm, expected, p, ZZ))]
+                    assert unpack(u) == quo, (p, d, k, a)
+                    if found_k < d:
+                        assert unpack(found_g) == [int(c) for c in reversed(expected)]
 
 
 def _pmul(a, b, p):
@@ -285,14 +379,14 @@ def test_residues_inverse_matches_sympy_gf_gcdex():
         for d in (1, 2, 5, 20, 50):
             g = [rng.randrange(p), 1]
             m = _pmul(g, [rng.randrange(p) for _ in range(d - 1)] + [1], p)
-            _, _, _, _, unpack, inverse = _residues(m, p)
+            _, _, _, _, unpack, _, gcd = _residues(m, p)
             shared = _pmul(g, _poly(rng, d - 2, p), p) if d > 1 else [0]
             for a in ([rng.randrange(p) for _ in range(d)], _poly(rng, d - 1, p),
                       [rng.randrange(1, p)], [0] * d, [p], shared):
                 s, _, h = gf_gcdex(ZZ.map(_trim([x % p for x in a])[::-1]), ZZ.map(m[::-1]), p, ZZ)
                 expected = [int(c) for c in reversed(s)] if h == [1] else None
-                found = inverse(a)
-                assert (found if found is None else unpack(found)) == expected, (p, d, a)
+                k, _, u = gcd(a)
+                assert (unpack(u) if k == 0 else None) == expected, (p, d, a)
 
 
 @pytest.mark.parametrize(
