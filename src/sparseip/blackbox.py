@@ -21,15 +21,23 @@ from .field import FieldContext, check_modulus, sample_nonzero
 
 Term = tuple[int, tuple[int, ...]]
 
+_END = 255  # ends each gap's rungs in a plan; no rung reaches it
+
 
 @dataclass(frozen=True)
 class SparsePolynomial:
     """n variables and terms (c, e) with e of length n.
 
     evaluate reads a private plan that is built lazily, on first use, and
-    then kept in the instance: per variable, the gaps between 0 and the
-    column's sorted distinct exponents, and one flat array of t*n table
-    slots. It is not a field, so ==, hash and repr see only n and terms.
+    then kept in the instance. It is four flat arrays: per variable, the
+    width of its squaring ladder (the bits of the largest gap between the
+    column's sorted distinct exponents, 0 included) and the number of
+    those gaps; per gap, the ladder rungs of its set bits; and the t*n
+    table slots. It is not a field, so ==, hash and repr see only n and
+    terms. Per column, a probe then costs bits(largest gap) - 1 squarings
+    mod p, and per distinct nonzero exponent one product of ladder entries
+    (one per set bit of the gap below it) times the previous power, reduced
+    mod p once.
     """
 
     n: int
@@ -45,22 +53,33 @@ class SparsePolynomial:
         return len(self.terms)
 
     @cached_property
-    def _plan(self) -> tuple[tuple[tuple[int, ...], ...], array]:
-        """(gaps, slots). Column j fills table entries start_j ... with
-        x_j^0 = 1 and then x_j raised to each distinct exponent in ascending
-        order, gaps[j] holding the steps between them; slots[i*n + j] is
-        the entry of x_j^(e_ij). Depends on no prime and no point."""
-        gaps, where = [], []
+    def _plan(self) -> tuple[array, array, array, array]:
+        """(widths, steps, rungs, slots). Column j fills table entries
+        x_j^0 = 1 and then x_j raised to each of its steps[j] distinct
+        nonzero exponents in ascending order; the gap to the next exponent
+        is the product of the ladder entries x_j^(2^k) for k in rungs, read
+        up to an _END marker, and widths[j] is the ladder's length.
+        slots[i*n + j] is the table entry of x_j^(e_ij). Depends on no
+        prime and no point. Rungs are bytes, so exponents must be below
+        2^254, far above any exponent below a modulus < 2^62."""
+        widths, steps, rungs, where = array("B"), array("I"), array("B"), []
         start = 0
         for column in zip(*map(itemgetter(1), self.terms)):
             exps = sorted({0, *column})
             if exps[0] < 0:
                 raise ValueError("exponents must be nonnegative")
-            gaps.append(tuple(b - a for a, b in zip(exps, exps[1:])))
+            if exps[-1].bit_length() >= _END:
+                raise ValueError(f"exponents must be below 2^{_END - 1}")
+            gaps = [b - a for a, b in zip(exps, exps[1:])]
+            widths.append(max(gaps, default=0).bit_length())
+            steps.append(len(gaps))
+            for gap in gaps:
+                rungs.extend(k for k in range(gap.bit_length()) if gap >> k & 1)
+                rungs.append(_END)
             where.append({d: start + k for k, d in enumerate(exps)})
             start += len(exps)
         slots = array("I", [w[d] for _, e in self.terms for w, d in zip(where, e)])
-        return tuple(gaps), slots
+        return widths, steps, rungs, slots
 
 
 def sparse_polynomial(n: int, terms: Sequence[Term], ctx: FieldContext) -> SparsePolynomial:
@@ -83,21 +102,34 @@ def sparse_polynomial(n: int, terms: Sequence[Term], ctx: FieldContext) -> Spars
 def evaluate(f: SparsePolynomial, point: Sequence[int], ctx: FieldContext) -> int:
     """f(point) mod p, in [0, p), for any integer point of length n.
 
-    The terms share each coordinate's powers: x_j walks up its column's
-    sorted distinct exponents once (an addition sequence, Yao 1976), one pow
-    per step with the bits of a gap rather than of an exponent. Then come
-    t*n table lookups and t products. Nothing is kept between points."""
+    The terms share each coordinate's powers. x_j climbs one squaring
+    ladder x_j, x_j^2, x_j^4, ... up to bits(largest gap in its column):
+    bits - 1 squarings, shared by every power of x_j (the binary method,
+    as in Brauer's 2^k-ary powering). x_j then walks up its column's sorted
+    distinct exponents (an addition sequence, Yao 1976): each step
+    multiplies the previous power by the ladder entries of the gap's set
+    bits and reduces mod p once. Then come t*n table lookups and t
+    products. Nothing is kept between points."""
     if len(point) != f.n:
         raise ValueError("point length does not match variable count")
     p = ctx.p
-    gaps, slots = f._plan
+    widths, steps, rungs, slots = f._plan
     table: list[int] = []
     append = table.append
-    for x, column in zip(point, gaps):
+    ladder = [0] * (max(widths, default=0) + 1)
+    rung = iter(rungs)
+    for x, width, count in zip(point, widths, steps):
+        v = ladder[0] = x % p
+        for k in range(1, width):
+            ladder[k] = v = v * v % p
         v = 1
         append(v)
-        for gap in column:
-            v = v * pow(x, gap, p) % p
+        for _ in range(count):
+            for k in rung:
+                if k == _END:
+                    break
+                v *= ladder[k]
+            v %= p
             append(v)
     # One iterator repeated n times: zip reads each term's n slots in turn.
     powers = map(table.__getitem__, slots)

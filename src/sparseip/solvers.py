@@ -359,11 +359,9 @@ def roots_by_coefficient(
     return roots
 
 
-def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[list[int]]:
-    """The inverse of the transposed Vandermonde matrix of the distinct
-    nodes v_i, by rows: sum_j rows[i][j] rhs[j] is c_i in the solution of
-    sum_i c_i v_i^j = rhs[j], j < t. rows[i] = Q_i / Q_i(v_i) for
-    Q_i = M/(z - v_i), M = prod (z - v_i). Quadratic time."""
+def _vandermonde_quotients(nodes: Sequence[int], ctx: FieldContext) -> list[tuple[list[int], int]]:
+    """(Q_i, 1/Q_i(v_i)) for each of the distinct nodes v_i, where
+    Q_i = M/(z - v_i) and M = prod (z - v_i). Quadratic time."""
     p = ctx.p
     nodes = [v % p for v in nodes]
     if len(set(nodes)) != len(nodes):
@@ -373,20 +371,29 @@ def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[list[int]]
         master.insert(0, 0)
         for i in range(len(master) - 1):
             master[i] = (master[i] - v * master[i + 1]) % p
-    rows = []
+    quotients = []
     for v in nodes:
         q = _pdiv_linear(master, v, p)
-        inv = pow(eval_dense(q, v, ctx), -1, p)
-        rows.append([c * inv % p for c in q])
-    return rows
+        quotients.append((q, pow(eval_dense(q, v, ctx), -1, p)))
+    return quotients
+
+
+def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[list[int]]:
+    """The inverse of the transposed Vandermonde matrix of the distinct
+    nodes v_i, by rows: sum_j rows[i][j] rhs[j] is c_i in the solution of
+    sum_i c_i v_i^j = rhs[j], j < t. rows[i] = Q_i / Q_i(v_i) for
+    Q_i = M/(z - v_i), M = prod (z - v_i). Quadratic time."""
+    p = ctx.p
+    return [[c * inv % p for c in q] for q, inv in _vandermonde_quotients(nodes, ctx)]
 
 
 def solve_transposed_vandermonde(
     nodes: list[int], rhs: list[int], ctx: FieldContext
 ) -> list[int]:
-    """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1, with the rows
-    of vandermonde_rows."""
+    """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1: c_i is the
+    dot product of Q_i with rhs, scaled once by 1/Q_i(v_i) (see
+    vandermonde_rows)."""
     if not nodes or len(rhs) != len(nodes):
         raise ValueError("nodes and rhs must be nonempty and of equal length")
     p = ctx.p
-    return [sum(map(mul, row, rhs)) % p for row in vandermonde_rows(nodes, ctx)]
+    return [sum(map(mul, q, rhs)) * inv % p for q, inv in _vandermonde_quotients(nodes, ctx)]

@@ -1,6 +1,7 @@
 import random
 import sys
 import threading
+from array import array
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -114,6 +115,85 @@ def test_evaluate_rejects_negative_exponents():
         evaluate(f, (4, 5), P101)
 
 
+LADDER_FIELDS = [FieldContext.for_prime(p) for p in (101, 140122640051, 2**61 - 1)]
+LADDER_POINTS = [(0,) * 3, (1, 2, 3), (-1, -1, -1), (2, -1, 7)]
+
+
+def _check_against_per_term(f, ctx, points=LADDER_POINTS):
+    p = ctx.p
+    for point in points:
+        point = point[: f.n]
+        assert evaluate(f, point, ctx) == _evaluate_per_term(f, point, p), point
+        big = tuple(x + 12345 * p for x in point)  # coordinates far above p
+        assert evaluate(f, big, ctx) == _evaluate_per_term(f, big, p), big
+
+
+@pytest.mark.parametrize("k", [1, 8, 36])
+def test_evaluate_ladder_widths_at_and_below_a_power_of_two(k):
+    # The largest gap in every column is 2^k (one rung past 2^k - 1) or
+    # 2^k - 1 (every rung set): alone from 0, behind a gap of 1, and twice.
+    for ctx in LADDER_FIELDS[1:]:
+        points = [*LADDER_POINTS, (3, 5, ctx.p - 2), (ctx.p - 1, 17, 2)]
+        for gap in (2**k, 2**k - 1):
+            f = SparsePolynomial(3, ((1, (gap, 0, gap)), (2, (0, gap + 1, 2 * gap)), (3, (0, 1, 0))))
+            assert list(f._plan[0]) == [gap.bit_length()] * 3
+            _check_against_per_term(f, ctx, points)
+
+
+@pytest.mark.parametrize("p", [140122640051, 2**61 - 1])
+def test_evaluate_exponent_p_minus_2_in_every_column(p):
+    # x^(p-2) is the inverse of x: the widest ladder a canonical exponent needs.
+    ctx = FieldContext.for_prime(p)
+    f = SparsePolynomial(3, ((5, (p - 2, p - 2, p - 2)), (7, (0, 1, p - 2)), (9, (p - 2, 0, 3))))
+    assert list(f._plan[0]) == [(p - 2).bit_length()] * 3
+    rng = random.Random(p)
+    points = [*LADDER_POINTS, *(tuple(rng.randrange(-p, 2 * p) for _ in range(3)) for _ in range(6))]
+    _check_against_per_term(f, ctx, points)
+    x = (3, 5, 7)
+    assert evaluate(SparsePolynomial(3, ((1, (p - 2, p - 2, p - 2)),)), x, ctx) * 105 % p == 1
+
+
+def test_evaluate_zero_column_beside_nonzero_ones():
+    # Column 1 holds only zeros: a ladder of width 0 and no rungs.
+    f = SparsePolynomial(3, ((4, (3, 0, 9)), (6, (1, 0, 0)), (8, (0, 0, 5))))
+    widths, steps, rungs, _ = f._plan
+    assert widths[1] == 0 and steps[1] == 0
+    assert len(rungs) == sum(bin(g).count("1") + 1 for g in (1, 2, 5, 4))
+    for ctx in LADDER_FIELDS:
+        _check_against_per_term(f, ctx, [*LADDER_POINTS, (5, ctx.p - 1, 9), (0, 0, 2)])
+
+
+def test_evaluate_repeated_gaps():
+    # Exponents 0, 3, 6, 9 give three equal gaps of 3; terms repeat them too.
+    f = SparsePolynomial(2, ((1, (0, 9)), (2, (3, 6)), (3, (6, 3)), (4, (9, 0)), (5, (3, 3))))
+    widths, steps, rungs, _ = f._plan
+    assert list(widths) == [2, 2] and list(steps) == [3, 3]
+    assert list(rungs) == [0, 1, 255] * 6
+    for ctx in LADDER_FIELDS:
+        _check_against_per_term(f, ctx, [*LADDER_POINTS, (ctx.p - 1, 7)])
+
+
+def test_evaluate_coordinates_zero_p_and_minus_one():
+    for ctx in LADDER_FIELDS:
+        p = ctx.p
+        f = SparsePolynomial(3, ((2, (1, 2, 3)), (3, (4, 0, 7)), (5, (p - 2, p - 1, 1)), (7, (0, 0, 0))))
+        for point in [(0, p, -1), (p, -1, 0), (-1, 0, p), (0, 0, 0), (p, p, p), (-1, -1, -1)]:
+            expected = _evaluate_per_term(f, point, p)
+            assert evaluate(f, point, ctx) == expected
+        # 0 and p vanish under a nonzero exponent; -1 gives the sign of the
+        # exponent sum's parity (p - 2 odd, p - 1 even for odd p).
+        assert evaluate(f, (-1, -1, -1), ctx) == (2 - 3 + 5 + 7) % p
+        assert evaluate(f, (0, p, 0), ctx) == 7
+
+
+def test_evaluate_rejects_exponents_past_the_rung_marker():
+    f = SparsePolynomial(2, ((1, (2**254, 0)),))
+    with pytest.raises(ValueError, match=r"below 2\^254"):
+        evaluate(f, (3, 4), P101)
+    top = 2**254 - 1  # 254 rungs, the widest a plan holds
+    assert evaluate(SparsePolynomial(1, ((1, (top,)),)), (3,), P101) == pow(3, top, 101)
+
+
 def test_evaluation_plan_is_lazy_kept_and_invisible():
     f = random_sparse_polynomial(3, 20, 30, P101, random.Random(27))
     twin = SparsePolynomial(f.n, f.terms)
@@ -125,6 +205,7 @@ def test_evaluation_plan_is_lazy_kept_and_invisible():
         assert evaluate(f, point, P101) == _evaluate_per_term(f, point, 101)
         if plan is None:
             plan = vars(f)["_plan"]
+            assert all(isinstance(field, array) for field in plan)  # flat, no boxed ints
         assert f._plan is plan
     assert f == twin == parsed and hash(f) == hash(twin) == hash(parsed)
     assert repr(f) == repr(twin) == repr(parsed) and "_plan" not in repr(f)

@@ -568,6 +568,23 @@ def test_vandermonde_round_trip():
             assert sum(ci * pow(v, j, 101) for ci, v in zip(c, nodes)) % 101 == rhs[j]
 
 
+def test_vandermonde_solve_agrees_with_rows_at_large_primes():
+    # The solve scales t dot products; the rows are scaled entry by entry.
+    # Both must give the one solution, also for unreduced nodes and rhs.
+    for p in (140122640051, 4611686018427387847):
+        ctx = FieldContext.for_prime(p)
+        rng = random.Random(p)
+        for t in (1, 2, 5, 20):
+            nodes = [v + rng.choice((0, p, -p)) for v in rng.sample(range(p), t)]
+            rhs = [rng.randrange(-p, 2 * p) for _ in range(t)]
+            c = solve_transposed_vandermonde(nodes, rhs, ctx)
+            rows = vandermonde_rows(nodes, ctx)
+            assert c == [sum(r * b for r, b in zip(row, rhs)) % p for row in rows]
+            assert all(0 <= x < p for x in c)
+            for j in range(t):
+                assert sum(ci * pow(v, j, p) for ci, v in zip(c, nodes)) % p == rhs[j] % p
+
+
 def test_bm_roots_duality():
     # build a sequence from known (coefficient, ratio) pairs; the pipeline
     # must return exactly the ratio set
