@@ -42,7 +42,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAIL_CODES = {
     FailReason.TOO_FEW_ROOTS: 2,
-    FailReason.ZERO_COEFFICIENT: 3,
+    # 3 stays unused, so that every other code keeps its meaning
     FailReason.DUPLICATE_COEFFICIENT: 4,
     FailReason.COEFFICIENT_MISMATCH: 5,
     FailReason.DLOG_OUT_OF_RANGE: 6,

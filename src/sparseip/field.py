@@ -3,11 +3,12 @@
 Field elements are plain Python ints kept as canonical residues in [0, p-1].
 A FieldContext bundles the modulus with the factored group order p-1, which
 is what primitive-root validation needs. The discrete log over [0, D]
-reads e mod s from the subgroup of order s | p-1, s <= isqrt(D) + 1, with
-one pow when that saves at least 2 bits(p) giant steps (else s = 1), then
-walks baby-step/giant-step over the D/s candidates left: at most
-isqrt(D // s) + 1 giant steps. Its tables, s + isqrt(D // s) + 1 entries,
-depend only on the generator and the bound, so a caller with many logs for
+reads e mod s from the subgroup of order s | p-1 with one pow when that
+pays (else s = 1), then walks baby-step/giant-step over the D//s + 1
+candidates left. Its tables depend only on the generator, the bound and the
+number L of logs they serve, and are sized so that L logs take
+O(sqrt(L D/s)) steps in all, not O(L sqrt(D/s)) (Shanks; Bernstein & Lange,
+"Computing small discrete logarithms faster"). A caller with many logs for
 one (omega, D) builds them once with baby_steps and passes them to every
 bounded_dlog call.
 """
@@ -164,6 +165,10 @@ def sample_nonzero(ctx: FieldContext, rng: random.Random) -> int:
 # (s, subgroup table, baby steps, giant step), as baby_steps builds them
 DlogTables = tuple[int, dict[int, int], dict[int, int], int]
 
+# The most baby steps a table gets for many logs, a memory ceiling: 2^18
+# entries take about 26 MiB.
+_MAX_BABY_STEPS = 1 << 18
+
 
 def _power_table(g: int, count: int, p: int) -> dict[int, int]:
     """{g^j: j} for j < count."""
@@ -175,26 +180,34 @@ def _power_table(g: int, count: int, p: int) -> dict[int, int]:
     return table
 
 
-def baby_steps(ctx: FieldContext, omega: int, bound: int) -> DlogTables:
-    """The tables bounded_dlog uses for this omega and bound:
-    (s, sub, baby, giant).
+def baby_steps(ctx: FieldContext, omega: int, bound: int, logs: int = 1) -> DlogTables:
+    """The tables bounded_dlog uses for this omega and bound, sized for logs
+    logs: (s, sub, baby, giant).
 
     s is the largest divisor of p - 1 up to isqrt(bound) + 1 (from
-    ctx.order_factorization), or 1 if it saves under 2 bits(p) giant steps,
-    about what its pow costs. sub is {gamma^j: j} for j < s, where
+    ctx.order_factorization), or 1 if it saves under 2 bits(p) giant steps
+    per log, about what its pow costs. sub is {gamma^j: j} for j < s, where
     gamma = omega^((p-1)/s) has order exactly s; baby is {(omega^s)^j: j} for
-    j <= isqrt(bound // s). Together s + isqrt(bound // s) + 1 entries.
-    giant = omega^(-s*m), m = isqrt(bound // s) + 1, is the giant step.
+    j < m, so a log takes at most (bound // s) // m + 1 giant steps, and
+    giant = omega^(-s*m) is the giant step. With N = bound // s,
+    m = isqrt(logs (N+1) / 2) + 1 balances building the table against the
+    giant steps of all logs; m stays between isqrt(N) + 1 and N + 1, and at
+    most _MAX_BABY_STEPS unless isqrt(N) + 1 is more.
     """
     p = ctx.p
     cap = math.isqrt(bound) + 1
     divisors = [1]
     for q, mult in ctx.order_factorization:
         divisors = [d * q**i for d in divisors for i in range(mult + 1) if d * q**i <= cap]
+
+    def size(n: int) -> int:
+        balanced = math.isqrt(logs * (n + 1) // 2) + 1
+        return max(math.isqrt(n) + 1, min(n + 1, balanced, _MAX_BABY_STEPS))
+
     s = max(divisors)
-    if math.isqrt(bound) - math.isqrt(bound // s) < 2 * p.bit_length():
+    if bound // size(bound) - bound // s // size(bound // s) < 2 * p.bit_length():
         s = 1
-    m = math.isqrt(bound // s) + 1
+    m = size(bound // s)
     sub = _power_table(pow(omega, (p - 1) // s, p), s, p)
     return s, sub, _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p)
 
@@ -209,14 +222,15 @@ def bounded_dlog(
     """Find the unique e in [0, bound] with omega^e = target, or None, for a
     generator omega of F_p^*.
 
-    With (s, sub, baby, giant) = baby_steps(ctx, omega, bound): if s > 1,
-    one pow, target^((p-1)/s) = gamma^(e mod s), and one lookup in sub give
-    r = e mod s (Pohlig-Hellman); else r = 0. Then e = r + s*k, and
-    baby-step/giant-step by giant = omega^(-s*m), m = isqrt(bound // s) + 1,
-    finds k in [0, (bound - r) // s] from target * omega^-r in at most
-    isqrt(bound // s) + 1 giant steps. baby, if given, must be
-    baby_steps(ctx, omega, bound); it is only read, so one table serves every
-    log for that omega and bound. Without it the call builds its own.
+    With (s, sub, baby, giant) = baby_steps(ctx, omega, bound, logs): if
+    s > 1, one pow, target^((p-1)/s) = gamma^(e mod s), and one lookup in sub
+    give r = e mod s (Pohlig-Hellman); else r = 0. Then e = r + s*k, and
+    baby-step/giant-step with the table's m baby steps and
+    giant = omega^(-s*m) finds k in [0, (bound - r) // s] from
+    target * omega^-r in at most (bound // s) // m + 1 giant steps. baby, if
+    given, must be baby_steps(ctx, omega, bound, logs) for some logs; it is
+    only read, so one table serves every log for that omega and bound.
+    Without it the call builds its own for one log.
     """
     p = ctx.p
     if bound < 0:
@@ -232,13 +246,14 @@ def bounded_dlog(
     # r < s <= isqrt(bound) + 1, so r <= bound
     r = sub[pow(target, (p - 1) // s, p)] if s > 1 else 0
     last = (bound - r) // s
-    m = math.isqrt(bound // s) + 1
+    m = len(steps)
     get = steps.get
     y = target * pow(omega, -r, p) % p if r else target
     for i in range(last // m + 1):
         j = get(y)
         if j is not None:
-            # j < m, so a hit past the bound can only come at the last step
+            # The first hit gives the least k, and j < m, so k = i*m + j can
+            # pass last only at the final step, i = last // m
             k = i * m + j
             return r + s * k if k <= last else None
         y = y * giant % p

@@ -46,7 +46,6 @@ STAGES = ("probe", "bm", "roots", "vand", "dlog", "assembly")
 
 class FailReason(Enum):
     TOO_FEW_ROOTS = "too-few-roots"
-    ZERO_COEFFICIENT = "zero-coefficient"
     DUPLICATE_COEFFICIENT = "duplicate-coefficient"
     COEFFICIENT_MISMATCH = "coefficient-mismatch"
     DLOG_OUT_OF_RANGE = "dlog-out-of-range"
@@ -130,9 +129,21 @@ def mc_pairs(
     probes, to classify it; the result is the same as without coeffs either
     way.
 
-    Raises InterpolationFailure on repeated/missing roots or a zero
-    recovered coefficient; its message starts with the run's name, "base
-    run" or "variable k".
+    Raises InterpolationFailure on repeated or missing roots; its message
+    starts with the run's name, "base run" or "variable k".
+
+    No returned coefficient is 0. berlekamp_massey gives lam, monic of the
+    least degree t whose recurrence generates all 2T probes a_i. Let lam
+    have t distinct roots u_j. Each sequence u_j^i, i >= 0, follows the
+    recurrence of every multiple of z - u_j, also for u_j = 0, where it is
+    1, 0, 0, ... (0^0 = 1). The solve gives c_j with a_i = sum_j c_j u_j^i
+    for i < t; both sides follow lam's recurrence, so this holds for all
+    i < 2T. If c_r were 0, the sum over j != r would follow the recurrence
+    of lam/(z - u_r), of degree t - 1, and generate all 2T probes, against
+    the minimality of t. This holds for any t, also t > T, where the least
+    generator need not be unique. The known-coefficient kernel accepts
+    coeffs only when root finding and the solve would give the same pairs,
+    so it holds with coeffs too.
     """
     run = "base run" if shift_var is None else f"variable {shift_var}"
     if timings is None:
@@ -155,10 +166,6 @@ def mc_pairs(
             raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, f"{run}: {exc}") from exc
         with _timed(timings, "vand"):
             coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
-    if any(c == 0 for c in coeffs):
-        raise InterpolationFailure(
-            FailReason.ZERO_COEFFICIENT, f"{run}: recovered a zero scaled coefficient"
-        )
     return sorted(zip(coeffs, roots))
 
 
@@ -199,16 +206,18 @@ def interpolate(
     sorted coefficient lists agree, recovers each exponent by a bounded
     discrete log and each coefficient by undoing the variable scaling. The
     Vandermonde rows for the base run's coefficients are built once, after
-    its duplicate check, and the baby-step table for (omega, D) once, when
-    the first discrete log is due; each is shared, and neither outlives the
-    call.
+    its duplicate check, and the baby-step table for (omega, D) once, sized
+    for all n*t discrete logs, when the first of them is due; each is
+    shared, and neither outlives the call.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
     (then it warns and proceeds; the probability guarantee is void), and
     ValueError on malformed arguments. Detectable assumption violations
     yield a Fail report, never an exception. The one internal error that can
-    escape is solvers.SplittingBudgetError, and only when rng keeps giving
-    draws that do not split a factor of the annihilator.
+    escape is solvers.SplittingBudgetError, when 64 draws in a row from rng
+    fail to split one factor of the annihilator. Each draw splits a factor
+    with probability about 1/2 or better, so with an honest rng that comes
+    about once in 2^64 factors, at any T.
     """
     if n < 1 or T < 1 or D < 0:
         raise ValueError("need n >= 1, T >= 1, D >= 0")
@@ -258,7 +267,6 @@ def interpolate(
         base = mc_pairs(oracle, alpha, zeta, T, ctx, rng, timings=timings)
         t = len(base)
         coeff_list = [c for c, _ in base]
-        values = [v for _, v in base]
         if len(set(coeff_list)) != t:
             raise InterpolationFailure(
                 FailReason.DUPLICATE_COEFFICIENT,
@@ -266,6 +274,9 @@ def interpolate(
             )
         exponents = [[0] * n for _ in range(t)]
         baby = None
+        with _timed(timings, "dlog"):
+            # 0 stands in for the inverse of a zero value, which has none
+            inverses = [pow(v, -1, p) if v else 0 for _, v in base]
         with _timed(timings, "vand"):
             rows = vandermonde_rows(coeff_list, ctx)
         for k in range(1, n + 1):
@@ -279,16 +290,15 @@ def interpolate(
                     f"variable {k}: shifted coefficient list disagrees with base run",
                 )
             with _timed(timings, "dlog"):
-                for i, ((_, vk), v) in enumerate(zip(shifted, values)):
-                    if v == 0:
+                for i, ((_, vk), inverse) in enumerate(zip(shifted, inverses)):
+                    if inverse == 0:
                         raise InterpolationFailure(
                             FailReason.DLOG_OUT_OF_RANGE,
                             f"variable {k}, term {i}: zero monomial value",
                         )
-                    ratio = vk * pow(v, -1, p) % p
                     if baby is None:
-                        baby = baby_steps(ctx, omega, D)
-                    e = bounded_dlog(ctx, omega, ratio, D, baby)
+                        baby = baby_steps(ctx, omega, D, n * t)
+                    e = bounded_dlog(ctx, omega, vk * inverse % p, D, baby)
                     if e is None:
                         raise InterpolationFailure(
                             FailReason.DLOG_OUT_OF_RANGE,

@@ -35,6 +35,11 @@ class SplittingBudgetError(RuntimeError):
     """Randomized equal-degree splitting exceeded its retry budget."""
 
 
+# Draws per factor before SplittingBudgetError. Each splits a factor with
+# probability about 1/2 or better: an honest rng runs out once in ~2^64.
+_SPLIT_ATTEMPTS = 64
+
+
 def _trim(coeffs: list[int]) -> list[int]:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -241,10 +246,6 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
     zp_z = unpack(power(pack([0, 1]), p) + (p - 1 << w))  # z^p - z
     if zp_z:
         raise TooFewRootsError(f"only {gcd(zp_z)[0]} distinct roots for degree {t}")
-    # Expected O(log t) splittings per factor; the attempt cap guards
-    # against RNG pathology.
-    attempt_limit = 64 * (1 + t.bit_length())
-    attempts = 0
     half = (p - 1) // 2
     roots: list[int] = []
     stack = [lam]
@@ -260,12 +261,7 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
             continue
         # lam's ring, built for the z^p test, serves lam's own splits
         _, pack, _, _, unpack, power, gcd = ring if h is lam else _residues(h, p)
-        while True:
-            attempts += 1
-            if attempts > attempt_limit:
-                raise SplittingBudgetError(
-                    f"no proper split of a degree-{d} factor after {attempts} attempts"
-                )
+        for _ in range(_SPLIT_ATTEMPTS):
             delta = rng.randrange(p)
             # (z + delta)^half - 1; at p = 2 no factor of degree > 1 with
             # h(0) != 0 has distinct roots, so half = 0 never gets here.
@@ -273,6 +269,10 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
             if 0 < k < d:
                 stack += [unpack(g), unpack(u)]
                 break
+        else:
+            raise SplittingBudgetError(
+                f"no proper split of a degree-{d} factor after {_SPLIT_ATTEMPTS} attempts"
+            )
     return sorted(roots)
 
 

@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from sparseip.field import (
+    _MAX_BABY_STEPS,
     FieldContext,
     _power_table,
     baby_steps,
@@ -124,41 +126,65 @@ def _largest_divisor_up_to(n, cap):
     return max(d for d in range(1, cap + 1) if n % d == 0)
 
 
-def _expected_s(p, bound):
+# Numbers of logs a table is sized for: one, a few, and so many that the
+# table covers every candidate at small bounds and reaches the memory ceiling
+# at large ones.
+LOGS = (1, 2, 7, 10**6)
+
+
+def _table_size(n, logs):
+    # baby steps for logs logs over [0, n]: isqrt(logs (n+1) / 2) + 1, at
+    # least isqrt(n) + 1, at most n + 1 and the ceiling unless isqrt(n) + 1
+    # is more
+    return max(math.isqrt(n) + 1,
+               min(n + 1, math.isqrt(logs * (n + 1) // 2) + 1, _MAX_BABY_STEPS))
+
+
+def _expected_s(p, bound, logs=1):
     # The largest divisor of p - 1 up to isqrt(bound) + 1, kept only when it
-    # saves at least 2 bits(p) giant steps.
+    # saves at least 2 bits(p) of the (bound // d) // m giant steps a log
+    # takes with the table for divisor d.
     s = _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
-    return s if math.isqrt(bound) - math.isqrt(bound // s) >= 2 * p.bit_length() else 1
+
+    def giant(d):
+        return bound // d // _table_size(bound // d, logs)
+
+    return s if giant(1) - giant(s) >= 2 * p.bit_length() else 1
 
 
-def _tables_for_divisor(p, omega, bound, s):
+def _tables_for_divisor(p, omega, bound, s, logs=1):
     # baby_steps' tables for a given divisor s of p - 1 up to isqrt(bound) + 1
-    m = math.isqrt(bound // s) + 1
+    m = _table_size(bound // s, logs)
     return (s, _power_table(pow(omega, (p - 1) // s, p), s, p),
             _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p))
 
 
 def test_bounded_dlog_brute_force_every_small_prime():
-    # Every prime below 200, every bound in [0, p - 2] and every target in
-    # [0, p], against the least e <= bound with omega^e = target. Below 200
-    # baby_steps always takes s = 1, so the subgroup path is also checked
-    # with tables built for the largest divisor under the cap.
+    # Every prime below 200, every bound in [0, p - 2], every table size in
+    # LOGS and every target in [0, p], against the least e <= bound with
+    # omega^e = target. Below 200 baby_steps always takes s = 1, so the
+    # subgroup path is also checked with tables built for the largest
+    # divisor under the cap.
     for p in (q for q in range(2, 200) if is_probable_prime(q)):
         ctx = FieldContext.for_prime(p)
         omega = next(g for g in range(1, p) if is_primitive_root(ctx, g))
         log = {pow(omega, e, p): e for e in range(p - 1)}
         for bound in range(p - 1):
-            baby = baby_steps(ctx, omega, bound)
-            assert baby[0] == _expected_s(p, bound)
             expected = [None] * (p + 1)
             for y, e in log.items():
                 if e <= bound:
                     expected[y] = e
-            assert [bounded_dlog(ctx, omega, y, bound, baby) for y in range(p + 1)] == expected
             s = _largest_divisor_up_to(p - 1, math.isqrt(bound) + 1)
-            if s > 1:
-                sub = _tables_for_divisor(p, omega, bound, s)
-                assert [bounded_dlog(ctx, omega, y, bound, sub) for y in range(p + 1)] == expected
+            checked = []  # several logs often give the same tables
+            for logs in LOGS:
+                baby = baby_steps(ctx, omega, bound, logs)
+                assert baby[0] == _expected_s(p, bound, logs)
+                assert len(baby[2]) == _table_size(bound // baby[0], logs)
+                tables = [baby] + ([_tables_for_divisor(p, omega, bound, s, logs)] if s > 1 else [])
+                for tab in tables:
+                    if tab not in checked:
+                        checked.append(tab)
+                        assert [bounded_dlog(ctx, omega, y, bound, tab) for y in range(p + 1)] == expected
             for e in (bound, bound + 1):  # with a table of the call's own
                 y = pow(omega, e, p)
                 assert bounded_dlog(ctx, omega, y, bound) == expected[y]
@@ -174,10 +200,13 @@ def test_bounded_dlog_large_primes(p):
     ctx = FieldContext.for_prime(p)
     rng = random.Random(p)
     omega = find_primitive_root(ctx, rng)
-    for bound in (0, 1, 10**4, 10**8):
-        baby = baby_steps(ctx, omega, bound)
+    for bound, logs in itertools.product((0, 1, 10**4, 10**8), LOGS):
+        baby = baby_steps(ctx, omega, bound, logs)
         s = baby[0]
-        assert s == _expected_s(p, bound)
+        assert s == _expected_s(p, bound, logs)
+        assert len(baby[2]) == _table_size(bound // s, logs)
+        if logs == LOGS[-1]:  # every candidate, or the memory ceiling
+            assert len(baby[2]) in (bound // s + 1, _MAX_BABY_STEPS)
         # exponents at and just past the bound, over several residues mod s
         near = [0, 1, s - 1] + [rng.randrange(s) for _ in range(3)]
         exps = [0, p - 2] + [bound + 1 + j for j in near]

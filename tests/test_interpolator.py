@@ -1,4 +1,3 @@
-import math
 import random
 import warnings
 from fractions import Fraction
@@ -362,9 +361,12 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
     built, used = _count_tables(monkeypatch)
     ctx = FieldContext.for_prime(140122640051)
     rng = random.Random(12)
-    # p - 1 = 2 * 5^2 * q: at D = 10^6 the divisor 50 saves 859 giant steps,
-    # at D = 15 the divisor 2 would save 1, so s = 1.
-    for n, t, D, expected_s in [(3, 6, 10**6, 50), (2, 4, 15, 1)]:
+    # p - 1 = 2 * 5^2 * q. The table serves L = n*t logs, so it has
+    # m = isqrt(L (D//s + 1) / 2) + 1 baby steps here. At D = 10^6, L = 18,
+    # the divisor 50 cuts the giant steps per log from 10^6 // 3001 = 333 to
+    # 20000 // 425 = 47, so s = 50 and m = 425. At D = 15, L = 8, the divisor
+    # 2 would leave 7 // 6 = 1 of 15 // 9 = 1, so s = 1 and m = 9.
+    for n, t, D, expected_s, expected_m in [(3, 6, 10**6, 50, 425), (2, 4, 15, 1, 9)]:
         f = random_sparse_polynomial(n, t, D, ctx, rng)
         report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, t, D, ctx, rng)
         assert report.succeeded and poly_equal(report.outcome, f)
@@ -372,7 +374,7 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
         assert all(baby is built[0] for baby in used)
         s, sub, steps, _ = built[0]
         assert s == expected_s
-        assert len(sub) == s and len(steps) == math.isqrt(D // s) + 1
+        assert len(sub) == s and len(steps) == expected_m
         built.clear()
         used.clear()
 

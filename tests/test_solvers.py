@@ -389,6 +389,17 @@ def test_residues_inverse_matches_sympy_gf_gcdex():
                 assert (unpack(u) if k == 0 else None) == expected, (p, d, a)
 
 
+def _planted_roots(t, p):
+    """t distinct roots drawn with seed t, and the monic lam they span."""
+    planted = random.Random(t).sample(range(p), t)
+    lam = [1]
+    for r in planted:
+        lam.insert(0, 0)
+        for i in range(len(lam) - 1):
+            lam[i] = (lam[i] - r * lam[i + 1]) % p
+    return planted, lam
+
+
 @pytest.mark.parametrize(
     "p, t, next_draw",
     [
@@ -402,15 +413,30 @@ def test_roots_of_large_degree_at_large_primes(p, t, next_draw):
     # next_draw is rng's next value after the call, pinned from the
     # schoolbook kernel that the packed one replaced: the kernel must not
     # change which values the splitting draws.
-    planted = random.Random(t).sample(range(p), t)
-    lam = [1]
-    for r in planted:
-        lam.insert(0, 0)
-        for i in range(len(lam) - 1):
-            lam[i] = (lam[i] - r * lam[i + 1]) % p
+    planted, lam = _planted_roots(t, p)
     rng = random.Random(t)
     assert find_distinct_roots(lam, FieldContext.for_prime(p), rng) == sorted(planted)
     assert rng.random() == next_draw
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args, **kwargs):
+        self.draws += 1
+        return super().randrange(*args, **kwargs)
+
+
+def test_roots_of_degree_600_within_the_guarantee_bound():
+    # interpolate(n=1, T=600, D=1000) is inside the guarantee bound at P37.
+    # Fully splitting its annihilator takes about 1.4 t draws, more than a
+    # budget of 64 (1 + bits(t)) = 704 for the whole call would allow; each
+    # factor's own budget of 64 is far from reached.
+    t = 600
+    planted, lam = _planted_roots(t, P37)
+    rng = _CountingRandom(t)
+    assert find_distinct_roots(lam, FieldContext.for_prime(P37), rng) == sorted(planted)
+    assert rng.draws > 64 * (1 + t.bit_length())
 
 
 class _ZeroRandom(random.Random):
@@ -610,9 +636,8 @@ def test_split_annihilator_never_gets_a_zero_weight_small_fields():
     window exactly the sums of w_i r_i^j (with 0^0 = 1), and the first t
     values fix the weights. If some w_k were 0, Lambda/(z - r_k), of degree
     t - 1, would generate the whole window, and Lambda would not be the
-    minimal generator that berlekamp_massey returns. So mc_pairs' check for
-    a zero scaled coefficient (FailReason.ZERO_COEFFICIENT) cannot fire on a
-    run whose annihilator split."""
+    minimal generator that berlekamp_massey returns. This pins the argument
+    in mc_pairs' docstring that no run returns a zero scaled coefficient."""
     rng = random.Random(15)
     split = 0
     for p in (3, 5):
