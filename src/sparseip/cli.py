@@ -33,7 +33,6 @@ from .interpolator import (
 from .solvers import (
     berlekamp_massey,
     find_distinct_roots,
-    roots_by_coefficient,
     solve_transposed_vandermonde,
     vandermonde_rows,
 )
@@ -119,15 +118,13 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
         check(f"shifted values k={k}", g["value_rows"][k], row)
         ratios = tuple(vk * pow(v, -1, ctx.p) % ctx.p for vk, v in zip(row, values))
         check(f"ratio row k={k}", g["ratio_rows"][k], ratios)
-        shifted_seq = probe_sequence(
-            oracle, g["alpha"], g["zeta"], g["T"], ctx, omega=g["omega"], shift_var=k,
-        )
-        shifted_lam = berlekamp_massey(shifted_seq, ctx).lam
         for label, shared in (("own", None), ("shared", rows)):
-            by_coeff = roots_by_coefficient(
-                shifted_lam, shifted_seq, [c for c, _ in pairs], ctx, shared,
+            by_coeff = mc_pairs(
+                oracle, g["alpha"], g["zeta"], g["T"], ctx, rng, omega=g["omega"], shift_var=k,
+                coeffs=[c for c, _ in pairs], rows=shared,
             )
-            check(f"values by coefficient, {label} rows k={k}", list(g["value_rows"][k]), by_coeff)
+            check(f"values by coefficient, {label} rows k={k}",
+                  list(g["value_rows"][k]), [v for _, v in by_coeff])
 
     baby = baby_steps(ctx, g["omega"], g["D"])
     for k in (1, 2, 3):

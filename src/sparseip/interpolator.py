@@ -5,10 +5,10 @@ pairs from one run of 2T probes; interpolate drives the base run plus one
 per-variable shifted run, matches terms by their (diverse) coefficients, and
 extracts exponents via bounded discrete logs. Only the base run finds the
 roots of its annihilator. A shifted run has the same scaled coefficients, so
-it reads off its values by power projection and one transposed Vandermonde
-solve in them, and falls back to root finding only to classify a run that
-will Fail. One set of Vandermonde rows serves all n shifted runs of a call,
-as one baby-step table serves all its n*t discrete logs.
+its values come only from power projection and one transposed Vandermonde
+solve in them; when that kernel rejects the run, root finding only names the
+Fail. One set of Vandermonde rows serves all n shifted runs of a call, as
+one baby-step table serves all its n*t discrete logs.
 """
 
 from __future__ import annotations
@@ -121,16 +121,15 @@ def mc_pairs(
     """One probing run: 2T probes, minimal recurrence, annihilator roots,
     transposed Vandermonde solve; returns [(c~, v)] sorted ascending by c~.
 
-    With coeffs, the run's scaled coefficients are expected to be coeffs (a
-    shifted run knows them from the base run): the values v are then read
-    off in those coefficients (solvers.roots_by_coefficient, given rows as
-    vandermonde_rows(coeffs) if any), with no root finding. Only when that
-    fails does the run go through root finding and the solve, on the same
-    probes, to classify it; the result is the same as without coeffs either
-    way.
+    With coeffs, the run's scaled coefficients must be coeffs (a shifted run
+    knows them from the base run): the values v come only from
+    solvers.roots_by_coefficient (given rows as vandermonde_rows(coeffs) if
+    any), and the pairs are returned in coeffs order, or the run Fails. If
+    that kernel rejects the run, root finding on the same probes only names
+    the Fail: too few roots if it raises, else a coefficient mismatch.
 
-    Raises InterpolationFailure on repeated or missing roots; its message
-    starts with the run's name, "base run" or "variable k".
+    Raises InterpolationFailure on repeated or missing roots and on rejected
+    coeffs; its message starts with the run's name, "base run" or "variable k".
 
     No returned coefficient is 0. berlekamp_massey gives lam, monic of the
     least degree t whose recurrence generates all 2T probes a_i. Let lam
@@ -152,20 +151,23 @@ def mc_pairs(
         seq = probe_sequence(oracle, alpha, zeta, T, ctx, omega=omega, shift_var=shift_var)
     with _timed(timings, "bm"):
         rec = berlekamp_massey(seq, ctx)
-    if rec.t == 0:
-        return []
-    roots = None
     if coeffs is not None:
         with _timed(timings, "roots"):
-            roots = roots_by_coefficient(rec.lam, seq, coeffs, ctx, rows)
-    if roots is None:
-        try:
-            with _timed(timings, "roots"):
-                roots = find_distinct_roots(list(rec.lam), ctx, rng)
-        except TooFewRootsError as exc:
-            raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, f"{run}: {exc}") from exc
-        with _timed(timings, "vand"):
-            coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
+            values = roots_by_coefficient(rec.lam, seq, coeffs, ctx, rows)
+        if values is not None:
+            return list(zip(coeffs, values))
+    try:
+        with _timed(timings, "roots"):
+            roots = find_distinct_roots(list(rec.lam), ctx, rng)
+    except TooFewRootsError as exc:
+        raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, f"{run}: {exc}") from exc
+    if coeffs is not None:
+        detail = f"{run}: shifted coefficient list disagrees with base run"
+        raise InterpolationFailure(FailReason.COEFFICIENT_MISMATCH, detail)
+    if not roots:
+        return []
+    with _timed(timings, "vand"):
+        coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
     return sorted(zip(coeffs, roots))
 
 
@@ -202,13 +204,14 @@ def interpolate(
     """Full Monte Carlo interpolation of the polynomial behind the oracle.
 
     Samples alpha, zeta (unless pinned), runs the base mc_pairs plus one
-    shifted run per variable, matches terms positionally after checking the
-    sorted coefficient lists agree, recovers each exponent by a bounded
-    discrete log and each coefficient by undoing the variable scaling. The
-    Vandermonde rows for the base run's coefficients are built once, after
-    its duplicate check, and the baby-step table for (omega, D) once, sized
-    for all n*t discrete logs, when the first of them is due; each is
-    shared, and neither outlives the call.
+    shifted run per variable, matches terms positionally (a shifted run
+    returns its pairs in the base run's coefficient order or Fails),
+    recovers each exponent by a bounded discrete log and each coefficient by
+    undoing the variable scaling. The Vandermonde rows for the base run's
+    coefficients are built once, after its duplicate check, and the
+    baby-step table for (omega, D) once, sized for all n*t discrete logs,
+    when the first of them is due; each is shared, and neither outlives the
+    call.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
     (then it warns and proceeds; the probability guarantee is void), and
@@ -284,11 +287,6 @@ def interpolate(
                 oracle, alpha, zeta, T, ctx, rng,
                 omega=omega, shift_var=k, timings=timings, coeffs=coeff_list, rows=rows,
             )
-            if [c for c, _ in shifted] != coeff_list:
-                raise InterpolationFailure(
-                    FailReason.COEFFICIENT_MISMATCH,
-                    f"variable {k}: shifted coefficient list disagrees with base run",
-                )
             with _timed(timings, "dlog"):
                 for i, ((_, vk), inverse) in enumerate(zip(shifted, inverses)):
                     if inverse == 0:

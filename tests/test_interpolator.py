@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,8 +278,9 @@ def test_mc_pairs_known_coefficients_give_the_same_pairs():
     known = [c for c, _ in base]
     wrong = known[:-1] + [known[-1] + 1]
     for k in (1, 2, 3):
-        plain = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(1),
-                         omega=OMEGA, shift_var=k)
+        plain_rng = random.Random(1)
+        plain = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, plain_rng, omega=OMEGA, shift_var=k)
+        assert plain_rng.getstate() != random.Random(1).getstate()  # root finding drew
         # known coefficients: values by power projection, nothing drawn from rng
         rng = random.Random(1)
         state = rng.getstate()
@@ -286,9 +290,88 @@ def test_mc_pairs_known_coefficients_give_the_same_pairs():
                         timings=timings, coeffs=known) == plain
         assert rng.getstate() == state and oracle.probe_count == 10
         assert "roots" in timings and "vand" not in timings
-        # a list the run does not carry: root finding classifies the run
-        assert mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(1),
-                        omega=OMEGA, shift_var=k, coeffs=wrong) == plain
+        # a list the run does not carry: the run Fails, and root finding,
+        # drawing from rng as the plain run does, only names the reason
+        rng, oracle, timings = random.Random(1), _oracle(), {}
+        with pytest.raises(InterpolationFailure) as exc:
+            mc_pairs(oracle, ALPHA, ZETA, 5, P101, rng, omega=OMEGA, shift_var=k,
+                     timings=timings, coeffs=wrong)
+        assert exc.value.reason == FailReason.COEFFICIENT_MISMATCH
+        assert str(exc.value) == f"variable {k}: {MISMATCH}"
+        assert oracle.probe_count == 10 and "vand" not in timings
+        assert rng.getstate() == plain_rng.getstate()
+
+
+MISMATCH = "shifted coefficient list disagrees with base run"
+
+
+def _root_finding_verdict(f, ctx, T, config, k):
+    """The Fail that root finding, the solve and a comparison of sorted
+    coefficient lists give variable k's run, or None: an oracle for the
+    known-coefficient kernel's verdict that does not call the kernel."""
+    alpha, zeta, omega = config["alpha"], config["zeta"], config["omega"]
+    base = mc_pairs(EvaluationOracle.from_polynomial(f, ctx), alpha, zeta, T, ctx, random.Random(0))
+    try:
+        shifted = mc_pairs(EvaluationOracle.from_polynomial(f, ctx), alpha, zeta, T, ctx,
+                           random.Random(0), omega=omega, shift_var=k)
+    except InterpolationFailure as exc:
+        return exc.reason, str(exc)
+    if [c for c, _ in shifted] != [c for c, _ in base]:
+        return FailReason.COEFFICIENT_MISMATCH, f"variable {k}: {MISMATCH}"
+    return None
+
+
+def test_shifted_run_fails_agree_with_root_finding():
+    # Far below the guarantee bound, shifted runs Fail often. Each such Fail
+    # must be the one root finding and the coefficient-list comparison give;
+    # neither depends on rng, since found roots come out sorted.
+    seen = {FailReason.COEFFICIENT_MISMATCH: 0, FailReason.TOO_FEW_ROOTS: 0}
+    fields = [FieldContext.for_prime(101), FieldContext.for_prime(1009)]
+    for seed in range(300):
+        rng = random.Random(seed)
+        ctx = fields[seed % 2]
+        n, t, D = rng.randint(1, 3), rng.randint(1, 8), rng.randint(1, 20)
+        t = min(t, (D + 1) ** n)
+        T = max(1, t - rng.randint(0, 2))
+        f = random_sparse_polynomial(n, t, D, ctx, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, T, D, ctx, rng, force=True)
+        run = (report.fail_detail or "").split(":")[0]
+        if not run.startswith("variable ") or "," in run:  # not a shifted run's own Fail
+            continue
+        k = int(run.split()[1])
+        expected = _root_finding_verdict(f, ctx, T, report.config, k)
+        assert expected == (report.fail_reason, report.fail_detail), seed
+        seen[report.fail_reason] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_perfbench_traced_names_fire_in_interpolate(monkeypatch):
+    # perfbench/run.py wraps each TRACED name in sparseip.interpolator and
+    # refuses a trace in which one never fires; a reroute shows here first.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    monkeypatch.syspath_prepend(str(path.parent))  # run.py imports its sibling measure
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
+    spec.loader.exec_module(bench)
+    fired = set()
+    for name in bench.TRACED:
+        assert hasattr(interpolator, name), name
+        real = getattr(interpolator, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            fired.add(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(interpolator, name, wrapper)
+    ctx = FieldContext.for_prime(140122640051)
+    rng = random.Random(5)
+    f = random_sparse_polynomial(2, 3, 10, ctx, rng)
+    report = interpolate(EvaluationOracle.from_polynomial(f, ctx), 2, 3, 10, ctx, rng)
+    assert report.succeeded and poly_equal(report.outcome, f)
+    assert [name for name in bench.TRACED if name not in fired] == []
 
 
 def test_mc_pairs_fail_names_its_run():
