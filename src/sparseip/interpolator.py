@@ -116,15 +116,15 @@ def mc_pairs(
     shift_var: Optional[int] = None,
     timings: Optional[dict[str, int]] = None,
     coeffs: Optional[Sequence[int]] = None,
-    rows: Optional[list[list[int]]] = None,
+    rows: Optional[list[tuple[list[int], int]]] = None,
 ) -> list[tuple[int, int]]:
     """One probing run: 2T probes, minimal recurrence, annihilator roots,
     transposed Vandermonde solve; returns [(c~, v)] sorted ascending by c~.
 
     With coeffs, the run's scaled coefficients must be coeffs (a shifted run
     knows them from the base run): the values v come only from
-    solvers.roots_by_coefficient (given rows as vandermonde_rows(coeffs) if
-    any), and the pairs are returned in coeffs order, or the run Fails. If
+    solvers.roots_by_coefficient (with rows, vandermonde_rows(coeffs)'s
+    pairs, if given); the pairs come in coeffs order, or the run Fails. If
     that kernel rejects the run, root finding on the same probes only names
     the Fail: too few roots if it raises, else a coefficient mismatch.
 

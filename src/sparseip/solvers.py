@@ -281,7 +281,7 @@ def roots_by_coefficient(
     seq: Sequence[int],
     coeffs: Sequence[int],
     ctx: FieldContext,
-    rows: Optional[list[list[int]]] = None,
+    rows: Optional[list[tuple[list[int], int]]] = None,
 ) -> Optional[list[int]]:
     """The root u_j of the monic lam (as from berlekamp_massey) that carries
     the known coefficient coeffs[j], for every j, or None.
@@ -297,7 +297,8 @@ def roots_by_coefficient(
     s_i is the dot product of theta^r with a window of a read off one
     product of theta^(gk) mod lam and the reversed a. Then u solves a
     transposed Vandermonde system in the known, distinct c_j (Kaltofen &
-    Lakshman 1988): u = rows s. rows, if given, must be
+    Lakshman 1988): u_j = (Q_j . s) / Q_j(c_j) for the pairs
+    (Q_j, 1/Q_j(c_j)) in rows. rows, if given, must be
     vandermonde_rows(coeffs, ctx); it is only read, so one set serves every
     shifted run of a call. Without it the call builds its own.
 
@@ -349,7 +350,7 @@ def roots_by_coefficient(
         h = reduce(h * giant)
         prod = h * rev_a  # slots t - 1 .. 2t - 2 hold the window, reversed
         window = [(prod >> i & mask) % p for i in range((2 * t - 2) * w, (t - 2) * w, -w)]
-    roots = [sum(map(mul, row, s)) % p for row in rows]
+    roots = [sum(map(mul, q, s)) * inv % p for q, inv in rows]
     num, den = 0, 1
     for c, u in zip(coeffs, roots):  # num/den += c/(z - u)
         lin = 1 << w | -u % p
@@ -359,9 +360,11 @@ def roots_by_coefficient(
     return roots
 
 
-def _vandermonde_quotients(nodes: Sequence[int], ctx: FieldContext) -> list[tuple[list[int], int]]:
-    """(Q_i, 1/Q_i(v_i)) for each of the distinct nodes v_i, where
-    Q_i = M/(z - v_i) and M = prod (z - v_i). Quadratic time."""
+def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[tuple[list[int], int]]:
+    """The inverse of the transposed Vandermonde matrix of the distinct
+    nodes v_i, by rows as pairs (Q_i, 1/Q_i(v_i)), Q_i = M/(z - v_i) and
+    M = prod (z - v_i): c_i = (Q_i . rhs) / Q_i(v_i) solves
+    sum_i c_i v_i^j = rhs[j], j < t, so a use scales t results. Quadratic time."""
     p = ctx.p
     nodes = [v % p for v in nodes]
     if len(set(nodes)) != len(nodes):
@@ -371,20 +374,11 @@ def _vandermonde_quotients(nodes: Sequence[int], ctx: FieldContext) -> list[tupl
         master.insert(0, 0)
         for i in range(len(master) - 1):
             master[i] = (master[i] - v * master[i + 1]) % p
-    quotients = []
+    rows = []
     for v in nodes:
         q = _pdiv_linear(master, v, p)
-        quotients.append((q, pow(eval_dense(q, v, ctx), -1, p)))
-    return quotients
-
-
-def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[list[int]]:
-    """The inverse of the transposed Vandermonde matrix of the distinct
-    nodes v_i, by rows: sum_j rows[i][j] rhs[j] is c_i in the solution of
-    sum_i c_i v_i^j = rhs[j], j < t. rows[i] = Q_i / Q_i(v_i) for
-    Q_i = M/(z - v_i), M = prod (z - v_i). Quadratic time."""
-    p = ctx.p
-    return [[c * inv % p for c in q] for q, inv in _vandermonde_quotients(nodes, ctx)]
+        rows.append((q, pow(eval_dense(q, v, ctx), -1, p)))
+    return rows
 
 
 def solve_transposed_vandermonde(
@@ -396,4 +390,4 @@ def solve_transposed_vandermonde(
     if not nodes or len(rhs) != len(nodes):
         raise ValueError("nodes and rhs must be nonempty and of equal length")
     p = ctx.p
-    return [sum(map(mul, q, rhs)) * inv % p for q, inv in _vandermonde_quotients(nodes, ctx)]
+    return [sum(map(mul, q, rhs)) * inv % p for q, inv in vandermonde_rows(nodes, ctx)]

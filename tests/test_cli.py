@@ -2,7 +2,7 @@ import csv
 import io
 import json
 
-from sparseip import field
+from sparseip import cli, field
 from sparseip.blackbox import poly_equal, read_instance
 from sparseip.cli import (
     CSV_COLUMNS,
@@ -176,6 +176,23 @@ def test_selftest_passes():
     failed = [name for name, ok, _, _ in checks if not ok]
     assert not failed
     assert main(["selftest"]) == 0
+
+
+def test_selftest_fails_on_a_wrong_golden_value(monkeypatch, capsys):
+    good = cli.GOLDEN["value_rows"][2]
+    bad = (good[0] + 1,) + good[1:]
+    value_rows = {**cli.GOLDEN["value_rows"], 2: bad}
+    monkeypatch.setattr(cli, "GOLDEN", {**cli.GOLDEN, "value_rows": value_rows})
+    failed = [(name, expected, actual) for name, ok, expected, actual in run_selftest() if not ok]
+    assert failed == [("values by coefficient k=2", bad, good)]
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    # the report stops at the first failing check
+    assert out[out.index("[FAIL] values by coefficient k=2") + 1:] == [
+        f"    expected: {bad}",
+        f"    actual:   {good}",
+        "selftest: FAIL",
+    ]
 
 
 def test_bench_csv_schema(tmp_path):

@@ -595,8 +595,9 @@ def test_vandermonde_round_trip():
 
 
 def test_vandermonde_solve_agrees_with_rows_at_large_primes():
-    # The solve scales t dot products; the rows are scaled entry by entry.
-    # Both must give the one solution, also for unreduced nodes and rhs.
+    # The rows are pairs (Q_i, 1/Q_i(v_i)), as the known-coefficient kernel
+    # reads them: each scaled dot product with rhs must give the solve's
+    # c_i, the one solution, also for unreduced nodes and rhs.
     for p in (140122640051, 4611686018427387847):
         ctx = FieldContext.for_prime(p)
         rng = random.Random(p)
@@ -605,7 +606,7 @@ def test_vandermonde_solve_agrees_with_rows_at_large_primes():
             rhs = [rng.randrange(-p, 2 * p) for _ in range(t)]
             c = solve_transposed_vandermonde(nodes, rhs, ctx)
             rows = vandermonde_rows(nodes, ctx)
-            assert c == [sum(r * b for r, b in zip(row, rhs)) % p for row in rows]
+            assert c == [sum(r * b for r, b in zip(q, rhs)) * inv % p for q, inv in rows]
             assert all(0 <= x < p for x in c)
             for j in range(t):
                 assert sum(ci * pow(v, j, p) for ci, v in zip(c, nodes)) % p == rhs[j] % p
