@@ -34,7 +34,7 @@ from .solvers import (
     berlekamp_massey,
     find_distinct_roots,
     solve_transposed_vandermonde,
-    vandermonde_rows,
+    vandermonde_master,
 )
 
 EXIT_OK = 0
@@ -74,9 +74,9 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
     """Replay the pinned example along interpolate's path and return
     (name, ok, expected, actual) per check, one per stage, in order: the
     base run's probes, recurrence, roots and sorted pairs; per variable k,
-    the known-coefficient kernel's values (one shared set of rows) and the
-    exponent row (one table for all n*T logs); then interpolate's outcome,
-    recovered polynomial and probe count."""
+    the known-coefficient kernel's values (one shared vandermonde_master)
+    and the exponent row (one table for all n*T logs); then interpolate's
+    outcome, recovered polynomial and probe count."""
     g = GOLDEN
     ctx = FieldContext.for_prime(g["p"])
     p, n, T, D, omega = ctx.p, g["n"], g["T"], g["D"], g["omega"]
@@ -101,12 +101,12 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
     check("sorted pairs", g["pairs"], tuple(pairs))
 
     coeffs = [c for c, _ in pairs]
-    rows = vandermonde_rows(coeffs, ctx)
+    master = vandermonde_master(coeffs, ctx)
     baby = baby_steps(ctx, omega, D, n * T)
     for k in range(1, n + 1):
         shifted = mc_pairs(
             oracle, g["alpha"], g["zeta"], T, ctx, rng,
-            omega=omega, shift_var=k, coeffs=coeffs, rows=rows,
+            omega=omega, shift_var=k, coeffs=coeffs, master=master,
         )
         check(f"values by coefficient k={k}", g["value_rows"][k], tuple(v for _, v in shifted))
         dlogs = tuple(

@@ -162,8 +162,8 @@ def sample_nonzero(ctx: FieldContext, rng: random.Random) -> int:
     return rng.randrange(1, ctx.p)
 
 
-# (s, subgroup table, baby steps, giant step), as baby_steps builds them
-DlogTables = tuple[int, dict[int, int], dict[int, int], int]
+# (s, sub, baby, giant, unshift), as baby_steps builds them
+DlogTables = tuple[int, dict[int, int], dict[int, int], int, list[int]]
 
 # The most baby steps a table gets for many logs, a memory ceiling: 2^18
 # entries take about 26 MiB.
@@ -182,17 +182,17 @@ def _power_table(g: int, count: int, p: int) -> dict[int, int]:
 
 def baby_steps(ctx: FieldContext, omega: int, bound: int, logs: int = 1) -> DlogTables:
     """The tables bounded_dlog uses for this omega and bound, sized for logs
-    logs: (s, sub, baby, giant).
+    logs: (s, sub, baby, giant, unshift).
 
     s is the largest divisor of p - 1 up to isqrt(bound) + 1 (from
     ctx.order_factorization), or 1 if it saves under 2 bits(p) giant steps
-    per log, about what its pow costs. sub is {gamma^j: j} for j < s, where
-    gamma = omega^((p-1)/s) has order exactly s; baby is {(omega^s)^j: j} for
-    j < m, so a log takes at most (bound // s) // m + 1 giant steps, and
-    giant = omega^(-s*m) is the giant step. With N = bound // s,
-    m = isqrt(logs (N+1) / 2) + 1 balances building the table against the
-    giant steps of all logs; m stays between isqrt(N) + 1 and N + 1, and at
-    most _MAX_BABY_STEPS unless isqrt(N) + 1 is more.
+    per log, about what its pow costs. sub is {gamma^j: j} and unshift[j] is
+    omega^-j for j < s, where gamma = omega^((p-1)/s) has order exactly s;
+    baby is {(omega^s)^j: j} for j < m, so a log takes at most
+    (bound // s) // m + 1 giant steps of giant = omega^(-s*m). With
+    N = bound // s, m = isqrt(logs (N+1) / 2) + 1 balances building the
+    table against the giant steps of all logs; m stays between isqrt(N) + 1
+    and N + 1, and at most _MAX_BABY_STEPS unless isqrt(N) + 1 is more.
     """
     p = ctx.p
     cap = math.isqrt(bound) + 1
@@ -209,7 +209,8 @@ def baby_steps(ctx: FieldContext, omega: int, bound: int, logs: int = 1) -> Dlog
         s = 1
     m = size(bound // s)
     sub = _power_table(pow(omega, (p - 1) // s, p), s, p)
-    return s, sub, _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p)
+    unshift = list(_power_table(pow(omega, -1, p), s, p))  # keys omega^-j, j < s
+    return s, sub, _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p), unshift
 
 
 def bounded_dlog(
@@ -222,15 +223,14 @@ def bounded_dlog(
     """Find the unique e in [0, bound] with omega^e = target, or None, for a
     generator omega of F_p^*.
 
-    With (s, sub, baby, giant) = baby_steps(ctx, omega, bound, logs): if
-    s > 1, one pow, target^((p-1)/s) = gamma^(e mod s), and one lookup in sub
-    give r = e mod s (Pohlig-Hellman); else r = 0. Then e = r + s*k, and
-    baby-step/giant-step with the table's m baby steps and
-    giant = omega^(-s*m) finds k in [0, (bound - r) // s] from
-    target * omega^-r in at most (bound // s) // m + 1 giant steps. baby, if
-    given, must be baby_steps(ctx, omega, bound, logs) for some logs; it is
-    only read, so one table serves every log for that omega and bound.
-    Without it the call builds its own for one log.
+    With (s, sub, baby, giant, unshift) = baby_steps(ctx, omega, bound,
+    logs): if s > 1, one pow, target^((p-1)/s) = gamma^(e mod s), and one
+    lookup in sub give r = e mod s (Pohlig-Hellman); else r = 0. Then
+    e = r + s*k, and baby-step/giant-step finds k in [0, (bound - r) // s]
+    from target * unshift[r] in at most (bound // s) // m + 1 giant steps.
+    baby, if given, must be baby_steps(ctx, omega, bound, logs) for some
+    logs; it is only read, so one table serves every log for that omega and
+    bound. Without it the call builds its own for one log.
     """
     p = ctx.p
     if bound < 0:
@@ -242,13 +242,13 @@ def bounded_dlog(
         return None
     if baby is None:
         baby = baby_steps(ctx, omega, bound)
-    s, sub, steps, giant = baby
+    s, sub, steps, giant, unshift = baby
     # r < s <= isqrt(bound) + 1, so r <= bound
     r = sub[pow(target, (p - 1) // s, p)] if s > 1 else 0
     last = (bound - r) // s
     m = len(steps)
     get = steps.get
-    y = target * pow(omega, -r, p) % p if r else target
+    y = target * unshift[r] % p
     for i in range(last // m + 1):
         j = get(y)
         if j is not None:

@@ -7,8 +7,8 @@ extracts exponents via bounded discrete logs. Only the base run finds the
 roots of its annihilator. A shifted run has the same scaled coefficients, so
 its values come only from power projection and one transposed Vandermonde
 solve in them; when that kernel rejects the run, root finding only names the
-Fail. One set of Vandermonde rows serves all n shifted runs of a call, as
-one baby-step table serves all its n*t discrete logs.
+Fail. One (M, 1/M'(c_j)) for the base run's coefficients c_j serves all n
+shifted runs of a call, as one baby-step table serves all its n*t logs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .solvers import (
     find_distinct_roots,
     roots_by_coefficient,
     solve_transposed_vandermonde,
-    vandermonde_rows,
+    vandermonde_master,
 )
 
 STAGES = ("probe", "bm", "roots", "vand", "dlog", "assembly")
@@ -116,17 +116,17 @@ def mc_pairs(
     shift_var: Optional[int] = None,
     timings: Optional[dict[str, int]] = None,
     coeffs: Optional[Sequence[int]] = None,
-    rows: Optional[list[tuple[list[int], int]]] = None,
+    master: Optional[tuple[list[int], list[int]]] = None,
 ) -> list[tuple[int, int]]:
     """One probing run: 2T probes, minimal recurrence, annihilator roots,
     transposed Vandermonde solve; returns [(c~, v)] sorted ascending by c~.
 
     With coeffs, the run's scaled coefficients must be coeffs (a shifted run
     knows them from the base run): the values v come only from
-    solvers.roots_by_coefficient (with rows, vandermonde_rows(coeffs)'s
-    pairs, if given); the pairs come in coeffs order, or the run Fails. If
-    that kernel rejects the run, root finding on the same probes only names
-    the Fail: too few roots if it raises, else a coefficient mismatch.
+    solvers.roots_by_coefficient (with master, vandermonde_master(coeffs),
+    if given); the pairs come in coeffs order, or the run Fails. If that
+    kernel rejects the run, root finding on the same probes only names the
+    Fail: too few roots if it raises, else a coefficient mismatch.
 
     Raises InterpolationFailure on repeated or missing roots and on rejected
     coeffs; its message starts with the run's name, "base run" or "variable k".
@@ -153,7 +153,7 @@ def mc_pairs(
         rec = berlekamp_massey(seq, ctx)
     if coeffs is not None:
         with _timed(timings, "roots"):
-            values = roots_by_coefficient(rec.lam, seq, coeffs, ctx, rows)
+            values = roots_by_coefficient(rec.lam, seq, coeffs, ctx, master)
         if values is not None:
             return list(zip(coeffs, values))
     try:
@@ -207,11 +207,11 @@ def interpolate(
     shifted run per variable, matches terms positionally (a shifted run
     returns its pairs in the base run's coefficient order or Fails),
     recovers each exponent by a bounded discrete log and each coefficient by
-    undoing the variable scaling. The Vandermonde rows for the base run's
-    coefficients are built once, after its duplicate check, and the
-    baby-step table for (omega, D) once, sized for all n*t discrete logs,
-    when the first of them is due; each is shared, and neither outlives the
-    call.
+    undoing the variable scaling. The base run's coefficients' (M, w) from
+    solvers.vandermonde_master is built once, after its duplicate check, in
+    the vand stage beside the base run's solve, and the baby-step table for
+    (omega, D) once, sized for all n*t discrete logs, when the first of them
+    is due; each is shared, and neither outlives the call.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
     (then it warns and proceeds; the probability guarantee is void), and
@@ -281,11 +281,11 @@ def interpolate(
             # 0 stands in for the inverse of a zero value, which has none
             inverses = [pow(v, -1, p) if v else 0 for _, v in base]
         with _timed(timings, "vand"):
-            rows = vandermonde_rows(coeff_list, ctx)
+            master = vandermonde_master(coeff_list, ctx)
         for k in range(1, n + 1):
             shifted = mc_pairs(
                 oracle, alpha, zeta, T, ctx, rng,
-                omega=omega, shift_var=k, timings=timings, coeffs=coeff_list, rows=rows,
+                omega=omega, shift_var=k, timings=timings, coeffs=coeff_list, master=master,
             )
             with _timed(timings, "dlog"):
                 for i, ((_, vk), inverse) in enumerate(zip(shifted, inverses)):

@@ -47,10 +47,11 @@ def _trim(coeffs: list[int]) -> list[int]:
 
 
 def eval_dense(coeffs: list[int], x: int, ctx: FieldContext) -> int:
-    """Horner evaluation of a dense polynomial at x."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % ctx.p
+    """Horner evaluation at x, reduced mod p once per four coefficients."""
+    p, acc = ctx.p, 0
+    top = iter([0] * (-len(coeffs) % 4) + list(reversed(coeffs)))
+    for a, b, c, d in zip(top, top, top, top):
+        acc = ((((acc * x + a) * x + b) * x + c) * x + d) % p
     return acc
 
 
@@ -104,17 +105,6 @@ def berlekamp_massey(sequence: list[int], ctx: FieldContext) -> RecurrenceResult
     conn = conn[: length + 1] + [0] * (length + 1 - len(conn))
     lam = tuple(reversed(conn))
     return RecurrenceResult(length, lam)
-
-
-def _pdiv_linear(a: list[int], u: int, p: int) -> list[int]:
-    """Quotient of a by (z - u), synthetic division; the remainder a(u) is
-    dropped."""
-    q = [0] * (len(a) - 1)
-    acc = 0
-    for j in range(len(a) - 1, 0, -1):
-        acc = (a[j] + acc * u) % p
-        q[j - 1] = acc
-    return q
 
 
 def _residues(m: list[int], p: int):
@@ -281,7 +271,7 @@ def roots_by_coefficient(
     seq: Sequence[int],
     coeffs: Sequence[int],
     ctx: FieldContext,
-    rows: Optional[list[tuple[list[int], int]]] = None,
+    master: Optional[tuple[list[int], list[int]]] = None,
 ) -> Optional[list[int]]:
     """The root u_j of the monic lam (as from berlekamp_massey) that carries
     the known coefficient coeffs[j], for every j, or None.
@@ -297,9 +287,8 @@ def roots_by_coefficient(
     s_i is the dot product of theta^r with a window of a read off one
     product of theta^(gk) mod lam and the reversed a. Then u solves a
     transposed Vandermonde system in the known, distinct c_j (Kaltofen &
-    Lakshman 1988): u_j = (Q_j . s) / Q_j(c_j) for the pairs
-    (Q_j, 1/Q_j(c_j)) in rows. rows, if given, must be
-    vandermonde_rows(coeffs, ctx); it is only read, so one set serves every
+    Lakshman 1988), applied from master = (M, w), which if given must be
+    vandermonde_master(coeffs, ctx); it is only read, so one serves every
     shifted run of a call. Without it the call builds its own.
 
     Accepts only if deg lam = len(coeffs), the coeffs are distinct, lam' is
@@ -329,8 +318,8 @@ def roots_by_coefficient(
     common, _, inv = gcd([i * lam[i] for i in range(1, t + 1)])
     if common:  # deg gcd(lam', lam) > 0
         return None
-    if rows is None:
-        rows = vandermonde_rows(coeffs, ctx)
+    if master is None:
+        master = vandermonde_master(coeffs, ctx)
     a = [x % p for x in seq[:t]]
     for i in range(t):  # a_(i+t) by the recurrence
         a.append(-sum(map(mul, lam, a[i:])) % p)
@@ -350,7 +339,7 @@ def roots_by_coefficient(
         h = reduce(h * giant)
         prod = h * rev_a  # slots t - 1 .. 2t - 2 hold the window, reversed
         window = [(prod >> i & mask) % p for i in range((2 * t - 2) * w, (t - 2) * w, -w)]
-    roots = [sum(map(mul, q, s)) * inv % p for q, inv in rows]
+    roots = _vandermonde_apply(coeffs, master, s, ctx)
     num, den = 0, 1
     for c, u in zip(coeffs, roots):  # num/den += c/(z - u)
         lin = 1 << w | -u % p
@@ -360,34 +349,44 @@ def roots_by_coefficient(
     return roots
 
 
-def vandermonde_rows(nodes: Sequence[int], ctx: FieldContext) -> list[tuple[list[int], int]]:
-    """The inverse of the transposed Vandermonde matrix of the distinct
-    nodes v_i, by rows as pairs (Q_i, 1/Q_i(v_i)), Q_i = M/(z - v_i) and
-    M = prod (z - v_i): c_i = (Q_i . rhs) / Q_i(v_i) solves
-    sum_i c_i v_i^j = rhs[j], j < t, so a use scales t results. Quadratic time."""
+def vandermonde_master(nodes: Sequence[int], ctx: FieldContext) -> tuple[list[int], list[int]]:
+    """(M, w) for distinct nodes v_i: M = prod (z - v_i), ascending, and
+    w_i = 1/M'(v_i), 2t + 1 ints that every solve in these nodes shares."""
     p = ctx.p
     nodes = [v % p for v in nodes]
     if len(set(nodes)) != len(nodes):
         raise ValueError("nodes must be pairwise distinct")
     master = [1]
-    for v in nodes:  # master *= z - v, in place
-        master.insert(0, 0)
-        for i in range(len(master) - 1):
-            master[i] = (master[i] - v * master[i + 1]) % p
-    rows = []
-    for v in nodes:
-        q = _pdiv_linear(master, v, p)
-        rows.append((q, pow(eval_dense(q, v, ctx), -1, p)))
-    return rows
+    for v in nodes:  # master *= z - v
+        master = [(a + (p - v) * b) % p for a, b in zip([0] + master, master)] + [1]
+    deriv = [i * master[i] % p for i in range(1, len(master))]
+    return master, [pow(eval_dense(deriv, v, ctx), -1, p) for v in nodes]
+
+
+def _vandermonde_apply(
+    nodes: Sequence[int], master: tuple[list[int], list[int]], rhs: Sequence[int], ctx: FieldContext
+) -> list[int]:
+    """The c_i with sum_i c_i v_i^j = rhs[j], j < t, for (M, w) =
+    vandermonde_master(nodes, ctx): c_i = N(v_i) w_i, where N, the
+    polynomial part of M(z) sum_j rhs_j z^(-j-1), is slots t .. 2t - 1 of
+    one product of packed M and reversed rhs (Kaltofen & Lakshman 1988). A
+    slot sums at most t products below p^2, so w-bit slots never carry."""
+    p, t = ctx.p, len(nodes)
+    m, weights = master
+    w = (t * (p - 1) ** 2).bit_length()
+    x, y = 1, 0  # M is monic
+    for a, b in zip(m[-2::-1], rhs):  # M from the top, rhs reversed
+        x, y = x << w | a, y << w | b % p
+    prod, mask = x * y, (1 << w) - 1
+    numer = [(prod >> i & mask) % p for i in range(t * w, 2 * t * w, w)]
+    return [eval_dense(numer, v, ctx) * u % p for v, u in zip(nodes, weights)]
 
 
 def solve_transposed_vandermonde(
     nodes: list[int], rhs: list[int], ctx: FieldContext
 ) -> list[int]:
-    """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1: c_i is the
-    dot product of Q_i with rhs, scaled once by 1/Q_i(v_i) (see
-    vandermonde_rows)."""
+    """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1: build
+    vandermonde_master(nodes), then apply it to rhs."""
     if not nodes or len(rhs) != len(nodes):
         raise ValueError("nodes and rhs must be nonempty and of equal length")
-    p = ctx.p
-    return [sum(map(mul, q, rhs)) * inv % p for q, inv in vandermonde_rows(nodes, ctx)]
+    return _vandermonde_apply(nodes, vandermonde_master(nodes, ctx), rhs, ctx)

@@ -109,9 +109,10 @@ def test_bounded_dlog_shared_table_agrees_with_own_table():
             omega = find_primitive_root(ctx, rng)
         for bound in bounds:
             baby = baby_steps(ctx, omega, bound)
-            s, sub, steps, _ = baby
+            s, sub, steps, _, unshift = baby
             assert (p - 1) % s == 0 and s <= math.isqrt(bound) + 1
             assert len(sub) == s and len(steps) == math.isqrt(bound // s) + 1
+            assert unshift == [pow(omega, -r, p) for r in range(s)]
             exps = [0, bound, bound + 1] + [rng.randrange(bound + 1) for _ in range(20)]
             targets = [pow(omega, e, p) for e in exps] + [0, p]
             targets += [rng.randrange(1, p) for _ in range(20)]
@@ -156,7 +157,8 @@ def _tables_for_divisor(p, omega, bound, s, logs=1):
     # baby_steps' tables for a given divisor s of p - 1 up to isqrt(bound) + 1
     m = _table_size(bound // s, logs)
     return (s, _power_table(pow(omega, (p - 1) // s, p), s, p),
-            _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p))
+            _power_table(pow(omega, s, p), m, p), pow(omega, -s * m, p),
+            [pow(omega, -r, p) for r in range(s)])
 
 
 def test_bounded_dlog_brute_force_every_small_prime():

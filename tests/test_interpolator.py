@@ -455,9 +455,9 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
         assert report.succeeded and poly_equal(report.outcome, f)
         assert len(built) == 1 and len(used) == n * t
         assert all(baby is built[0] for baby in used)
-        s, sub, steps, _ = built[0]
+        s, sub, steps, _, unshift = built[0]
         assert s == expected_s
-        assert len(sub) == s and len(steps) == expected_m
+        assert len(sub) == len(unshift) == s and len(steps) == expected_m
         built.clear()
         used.clear()
 
@@ -478,41 +478,44 @@ def test_interpolate_builds_no_table_when_the_base_run_fails(monkeypatch):
     assert built == [] and used == []
 
 
-def _count_rows(monkeypatch):
-    """Record every set of Vandermonde rows interpolate builds and the rows
-    each roots_by_coefficient call receives."""
+def _count_master(monkeypatch):
+    """Record every (M, w) interpolate builds for the shifted runs'
+    Vandermonde solves and the (M, w) each roots_by_coefficient call
+    receives."""
     built, used = [], []
-    real_rows, real_kernel = interpolator.vandermonde_rows, interpolator.roots_by_coefficient
+    real_master, real_kernel = interpolator.vandermonde_master, interpolator.roots_by_coefficient
 
-    def vandermonde_rows(*args):
-        built.append(real_rows(*args))
+    def vandermonde_master(*args):
+        built.append(real_master(*args))
         return built[-1]
 
-    def roots_by_coefficient(lam, seq, coeffs, ctx, rows=None):
-        used.append(rows)
-        return real_kernel(lam, seq, coeffs, ctx, rows)
+    def roots_by_coefficient(lam, seq, coeffs, ctx, master=None):
+        used.append(master)
+        return real_kernel(lam, seq, coeffs, ctx, master)
 
-    monkeypatch.setattr(interpolator, "vandermonde_rows", vandermonde_rows)
+    monkeypatch.setattr(interpolator, "vandermonde_master", vandermonde_master)
     monkeypatch.setattr(interpolator, "roots_by_coefficient", roots_by_coefficient)
     return built, used
 
 
-def test_interpolate_builds_vandermonde_rows_once_per_call(monkeypatch):
-    built, used = _count_rows(monkeypatch)
+def test_interpolate_builds_vandermonde_master_once_per_call(monkeypatch):
+    built, used = _count_master(monkeypatch)
     ctx = FieldContext.for_prime(140122640051)
     rng = random.Random(16)
     for n, t, D in [(3, 6, 10**6), (2, 4, 15)]:
         f = random_sparse_polynomial(n, t, D, ctx, rng)
         report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, t, D, ctx, rng)
         assert report.succeeded and poly_equal(report.outcome, f)
-        assert len(built) == 1 and len(built[0]) == t and len(used) == n
-        assert all(rows is built[0] for rows in used)
+        assert len(built) == 1 and len(used) == n
+        master, weights = built[0]
+        assert len(master) == t + 1 and len(weights) == t  # 2t + 1 ints
+        assert all(shared is built[0] for shared in used)
         built.clear()
         used.clear()
 
 
-def test_interpolate_builds_no_rows_when_the_base_run_fails(monkeypatch):
-    built, used = _count_rows(monkeypatch)
+def test_interpolate_builds_no_master_when_the_base_run_fails(monkeypatch):
+    built, used = _count_master(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for T, zeta, reason in [

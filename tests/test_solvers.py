@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from operator import mul
 
 import pytest
 
@@ -10,12 +11,13 @@ from sparseip.solvers import (
     TooFewRootsError,
     _residues,
     _trim,
+    _vandermonde_apply,
     berlekamp_massey,
     eval_dense,
     find_distinct_roots,
     roots_by_coefficient,
     solve_transposed_vandermonde,
-    vandermonde_rows,
+    vandermonde_master,
 )
 
 P101 = FieldContext.for_prime(101)
@@ -524,8 +526,8 @@ def _monic_from_roots(roots, p):
 def test_roots_by_coefficient_matches_root_finding_at_large_primes(p):
     # Planted instances, corrupted probes, shuffled, changed, short, long and
     # repeated coefficient lists, a zero coefficient, a squared factor and a
-    # random (rarely split) annihilator, with the call's own rows and with
-    # shared ones, against find_distinct_roots plus the transposed
+    # random (rarely split) annihilator, with the call's own (M, w) and with
+    # a shared one, against find_distinct_roots plus the transposed
     # Vandermonde solve.
     ctx = FieldContext.for_prime(p)
     rng = random.Random(p % 1000)
@@ -559,13 +561,26 @@ def test_roots_by_coefficient_matches_root_finding_at_large_primes(p):
             found = roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx)
             assert found == expected
             if len(set(case_coeffs)) == len(case_coeffs):
-                rows = vandermonde_rows(case_coeffs, ctx)
-                assert roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx, rows) == expected
+                master = vandermonde_master(case_coeffs, ctx)
+                assert roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx, master) == expected
             accepted += expected is not None
         assert roots_by_coefficient(lam, seq, shuffled, ctx) == [
             roots[coeffs.index(c)] for c in shuffled
         ]
     assert accepted >= 3 * 5
+
+
+def test_eval_dense_matches_the_power_sum():
+    # Every length mod 4 (the top is padded to whole groups of four), the
+    # zero polynomial, and unreduced, negative and edge points.
+    rng = random.Random(17)
+    for p in (2, 101, 4611686018427387847):
+        ctx = FieldContext.for_prime(p)
+        for t in list(range(10)) + [50]:
+            coeffs = [rng.randrange(-p, 2 * p) for _ in range(t)]
+            for x in (0, 1, p - 1, -1, 2 * p + 3, rng.randrange(p)):
+                expected = sum(c * pow(x, i, p) for i, c in enumerate(coeffs)) % p
+                assert eval_dense(coeffs, x, ctx) == eval_dense(tuple(coeffs), x, ctx) == expected
 
 
 def test_vandermonde_golden():
@@ -594,10 +609,18 @@ def test_vandermonde_round_trip():
             assert sum(ci * pow(v, j, 101) for ci, v in zip(c, nodes)) % 101 == rhs[j]
 
 
-def test_vandermonde_solve_agrees_with_rows_at_large_primes():
-    # The rows are pairs (Q_i, 1/Q_i(v_i)), as the known-coefficient kernel
-    # reads them: each scaled dot product with rhs must give the solve's
-    # c_i, the one solution, also for unreduced nodes and rhs.
+def _check_solves(c, nodes, rhs, p):
+    assert all(0 <= x < p for x in c)
+    powers = [1] * len(nodes)
+    for b in rhs:
+        assert sum(map(mul, c, powers)) % p == b % p
+        powers = [x * v % p for x, v in zip(powers, nodes)]
+
+
+def test_vandermonde_solve_agrees_with_shared_master_at_large_primes():
+    # (M, w) holds M = prod (z - v_i) and w_i = 1/M'(v_i), as the
+    # known-coefficient kernel reads them: applying it to rhs must give the
+    # solve's c_i, the one solution, also for unreduced nodes and rhs.
     for p in (140122640051, 4611686018427387847):
         ctx = FieldContext.for_prime(p)
         rng = random.Random(p)
@@ -605,11 +628,53 @@ def test_vandermonde_solve_agrees_with_rows_at_large_primes():
             nodes = [v + rng.choice((0, p, -p)) for v in rng.sample(range(p), t)]
             rhs = [rng.randrange(-p, 2 * p) for _ in range(t)]
             c = solve_transposed_vandermonde(nodes, rhs, ctx)
-            rows = vandermonde_rows(nodes, ctx)
-            assert c == [sum(r * b for r, b in zip(q, rhs)) * inv % p for q, inv in rows]
-            assert all(0 <= x < p for x in c)
-            for j in range(t):
-                assert sum(ci * pow(v, j, p) for ci, v in zip(c, nodes)) % p == rhs[j] % p
+            master, weights = shared = vandermonde_master(nodes, ctx)
+            assert len(master) == t + 1 and master[-1] == 1 and len(weights) == t
+            deriv = [i * master[i] for i in range(1, t + 1)]
+            for v, u in zip(nodes, weights):
+                assert eval_dense(master, v, ctx) == 0
+                assert eval_dense(deriv, v, ctx) * u % p == 1
+            assert c == _vandermonde_apply(nodes, shared, rhs, ctx)
+            _check_solves(c, nodes, rhs, p)
+
+
+@pytest.mark.parametrize("t", [64, 300])
+def test_vandermonde_solve_in_the_widest_slots(t):
+    # At p just below 2^62 a slot of the packed numerator sums t products
+    # near p^2, so its width t p^2 is the largest any call reaches; node 0
+    # and unreduced nodes and rhs are included.
+    p = 4611686018427387847
+    ctx = FieldContext.for_prime(p)
+    rng = random.Random(t)
+    nodes = [0, p - 1, 2 * p - 2]  # 2p - 2 is p - 2, unreduced
+    nodes += [v + rng.choice((0, p, -p)) for v in rng.sample(range(1, p - 2), t - 3)]
+    rhs = [p - 1, -1, 2 * p - 1] + [rng.randrange(-p, 2 * p) for _ in range(t - 3)]
+    c = solve_transposed_vandermonde(nodes, rhs, ctx)
+    _check_solves(c, nodes, rhs, p)
+    assert c == _vandermonde_apply(nodes, vandermonde_master(nodes, ctx), rhs, ctx)
+    # M's low coefficients and rhs all at p - 1 (rhs unreduced as -1): slot
+    # t - 1 of the packed product then sums t products (p - 1)^2, the most
+    # a slot can hold, and a carry out of it would corrupt N's lowest slot.
+    m = [p - 1] * t + [1]
+    numer = [sum(m[i + j + 1] * (p - 1) for j in range(t - i)) % p for i in range(t)]
+    expected = [sum(a * pow(v, i, p) for i, a in enumerate(numer)) % p for v in nodes]
+    assert _vandermonde_apply(nodes, (m, [1] * t), [-1] * t, ctx) == expected
+
+
+def test_roots_by_coefficient_accepts_in_the_widest_slots():
+    # The kernel's own solve at t = 64 and p just below 2^62, with root 0,
+    # root p - 1 and coefficient p - 1 among the terms.
+    p, t = 4611686018427387847, 64
+    ctx = FieldContext.for_prime(p)
+    rng = random.Random(64)
+    roots = [0, p - 1] + rng.sample(range(1, p - 1), t - 2)
+    coeffs = [p - 1] + rng.sample(range(1, p - 1), t - 1)
+    seq = _prony_sequence(coeffs, roots, 2 * t, p)
+    lam = list(berlekamp_massey(seq, ctx).lam)
+    assert lam == _monic_from_roots(roots, p)
+    master = vandermonde_master(coeffs, ctx)
+    assert roots_by_coefficient(lam, seq, coeffs, ctx) == roots
+    assert roots_by_coefficient(lam, seq, coeffs, ctx, master) == roots
 
 
 def test_bm_roots_duality():
