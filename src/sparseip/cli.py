@@ -100,14 +100,11 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
     pairs = sorted(zip(solve_transposed_vandermonde(roots, seq[: rec.t], ctx), roots))
     check("sorted pairs", g["pairs"], tuple(pairs))
 
-    coeffs = [c for c, _ in pairs]
-    master = vandermonde_master(coeffs, ctx)
+    known = vandermonde_master([c for c, _ in pairs], ctx)
     baby = baby_steps(ctx, omega, D, n * T)
     for k in range(1, n + 1):
-        shifted = mc_pairs(
-            oracle, g["alpha"], g["zeta"], T, ctx, rng,
-            omega=omega, shift_var=k, coeffs=coeffs, master=master,
-        )
+        shifted = mc_pairs(oracle, g["alpha"], g["zeta"], T, ctx, rng,
+                           omega=omega, shift_var=k, known=known)
         check(f"values by coefficient k={k}", g["value_rows"][k], tuple(v for _, v in shifted))
         dlogs = tuple(
             bounded_dlog(ctx, omega, vk * pow(v, -1, p) % p, D, baby)
@@ -143,6 +140,7 @@ class BenchRecord:
     us_roots: int
     us_vand: int
     us_dlog: int
+    us_assembly: int
     us_total: int
 
 
@@ -163,7 +161,8 @@ def run_bench(
 ) -> list[BenchRecord]:
     """One trial = generate a hidden instance, interpolate it, record outcome,
     probes and stage timings. The varied parameter takes each value in turn;
-    per-trial seeds are derived deterministically from the base seed."""
+    per-trial seeds are derived deterministically from the base seed. The
+    hidden term count is t (default T), capped at each point's T."""
     if vary not in ("n", "T", "D"):
         raise ValueError("vary must be one of n, T, D")
     ctx = FieldContext.for_prime(p)
@@ -191,10 +190,9 @@ def run_bench(
                 outcome = "success" if poly_equal(report.outcome, hidden) else "wrong-answer"
             else:
                 outcome = f"fail:{report.fail_reason.value}"
-            tm = report.stage_timings
             records.append(BenchRecord(
-                vary, pn, pT, pD, p, trial, trial_seed, outcome, report.probes,
-                tm["probe"], tm["bm"], tm["roots"], tm["vand"], tm["dlog"], total_us,
+                vary, pn, pT, pD, p, trial, trial_seed, outcome, report.probes, us_total=total_us,
+                **{f"us_{stage}": us for stage, us in report.stage_timings.items()},
             ))
     return records
 
@@ -352,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--T", type=int, default=10)
     b.add_argument("--D", type=int, default=100)
     b.add_argument("--t", type=int, default=None,
-                   help="hidden instance term count (default: equal to T)")
+                   help="hidden instance term count (default: equal to T; capped at T)")
     b.add_argument("--p", type=int, default=140122640051)
     b.add_argument("--trials", type=int, default=5)
     b.add_argument("--seed", type=int, default=0)

@@ -4,11 +4,11 @@ Two layers: mc_pairs recovers the sorted (scaled coefficient, monomial value)
 pairs from one run of 2T probes; interpolate drives the base run plus one
 per-variable shifted run, matches terms by their (diverse) coefficients, and
 extracts exponents via bounded discrete logs. Only the base run finds the
-roots of its annihilator. A shifted run has the same scaled coefficients, so
-its values come only from power projection and one transposed Vandermonde
-solve in them; when that kernel rejects the run, root finding only names the
-Fail. One (M, 1/M'(c_j)) for the base run's coefficients c_j serves all n
-shifted runs of a call, as one baby-step table serves all its n*t logs.
+roots of its annihilator, drawing from rng. A shifted run has the same
+scaled coefficients c_j: one power projection and transposed Vandermonde
+solve in them gives its values, or names the Fail of a run it rejects. One
+(c_j, M, 1/M'(c_j)) serves all n shifted runs of a call, as one baby-step
+table serves all its n*t logs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .field import (
     sample_nonzero,
 )
 from .solvers import (
+    Master,
     TooFewRootsError,
     berlekamp_massey,
     find_distinct_roots,
@@ -115,18 +116,16 @@ def mc_pairs(
     omega: Optional[int] = None,
     shift_var: Optional[int] = None,
     timings: Optional[dict[str, int]] = None,
-    coeffs: Optional[Sequence[int]] = None,
-    master: Optional[tuple[list[int], list[int]]] = None,
+    known: Optional[Master] = None,
 ) -> list[tuple[int, int]]:
     """One probing run: 2T probes, minimal recurrence, annihilator roots,
     transposed Vandermonde solve; returns [(c~, v)] sorted ascending by c~.
 
-    With coeffs, the run's scaled coefficients must be coeffs (a shifted run
-    knows them from the base run): the values v come only from
-    solvers.roots_by_coefficient (with master, vandermonde_master(coeffs),
-    if given); the pairs come in coeffs order, or the run Fails. If that
-    kernel rejects the run, root finding on the same probes only names the
-    Fail: too few roots if it raises, else a coefficient mismatch.
+    With known = vandermonde_master(coeffs), the run's scaled coefficients
+    must be coeffs (a shifted run knows them from the base run): the values
+    v come from one solvers.roots_by_coefficient call, without rng, in
+    coeffs order, or the kernel names the Fail: too few roots if it raises,
+    else a coefficient mismatch.
 
     Raises InterpolationFailure on repeated or missing roots and on rejected
     coeffs; its message starts with the run's name, "base run" or "variable k".
@@ -142,7 +141,7 @@ def mc_pairs(
     the minimality of t. This holds for any t, also t > T, where the least
     generator need not be unique. The known-coefficient kernel accepts
     coeffs only when root finding and the solve would give the same pairs,
-    so it holds with coeffs too.
+    so it holds with known too.
     """
     run = "base run" if shift_var is None else f"variable {shift_var}"
     if timings is None:
@@ -151,19 +150,19 @@ def mc_pairs(
         seq = probe_sequence(oracle, alpha, zeta, T, ctx, omega=omega, shift_var=shift_var)
     with _timed(timings, "bm"):
         rec = berlekamp_massey(seq, ctx)
-    if coeffs is not None:
-        with _timed(timings, "roots"):
-            values = roots_by_coefficient(rec.lam, seq, coeffs, ctx, master)
-        if values is not None:
-            return list(zip(coeffs, values))
     try:
         with _timed(timings, "roots"):
-            roots = find_distinct_roots(list(rec.lam), ctx, rng)
+            if known is None:
+                roots = find_distinct_roots(list(rec.lam), ctx, rng)
+            else:
+                roots = roots_by_coefficient(rec.lam, seq, known, ctx)
     except TooFewRootsError as exc:
         raise InterpolationFailure(FailReason.TOO_FEW_ROOTS, f"{run}: {exc}") from exc
-    if coeffs is not None:
-        detail = f"{run}: shifted coefficient list disagrees with base run"
-        raise InterpolationFailure(FailReason.COEFFICIENT_MISMATCH, detail)
+    if known is not None:
+        if roots is None:
+            detail = f"{run}: shifted coefficient list disagrees with base run"
+            raise InterpolationFailure(FailReason.COEFFICIENT_MISMATCH, detail)
+        return list(zip(known[0], roots))
     if not roots:
         return []
     with _timed(timings, "vand"):
@@ -207,20 +206,20 @@ def interpolate(
     shifted run per variable, matches terms positionally (a shifted run
     returns its pairs in the base run's coefficient order or Fails),
     recovers each exponent by a bounded discrete log and each coefficient by
-    undoing the variable scaling. The base run's coefficients' (M, w) from
-    solvers.vandermonde_master is built once, after its duplicate check, in
-    the vand stage beside the base run's solve, and the baby-step table for
-    (omega, D) once, sized for all n*t discrete logs, when the first of them
-    is due; each is shared, and neither outlives the call.
+    undoing the variable scaling. The base run's coefficients' (v, M, w)
+    from solvers.vandermonde_master is built once, after its duplicate
+    check, in the vand stage beside the base run's solve, and the baby-step
+    table for (omega, D) once, sized for all n*t discrete logs, when the
+    first of them is due; each is shared, and neither outlives the call.
 
     Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
     (then it warns and proceeds; the probability guarantee is void), and
     ValueError on malformed arguments. Detectable assumption violations
     yield a Fail report, never an exception. The one internal error that can
     escape is solvers.SplittingBudgetError, when 64 draws in a row from rng
-    fail to split one factor of the annihilator. Each draw splits a factor
-    with probability about 1/2 or better, so with an honest rng that comes
-    about once in 2^64 factors, at any T.
+    fail to split one factor of the base run's annihilator. Each draw splits
+    a factor with probability about 1/2 or better: with an honest rng, about
+    once in 2^64 factors, at any T.
     """
     if n < 1 or T < 1 or D < 0:
         raise ValueError("need n >= 1, T >= 1, D >= 0")
@@ -281,12 +280,10 @@ def interpolate(
             # 0 stands in for the inverse of a zero value, which has none
             inverses = [pow(v, -1, p) if v else 0 for _, v in base]
         with _timed(timings, "vand"):
-            master = vandermonde_master(coeff_list, ctx)
+            known = vandermonde_master(coeff_list, ctx)
         for k in range(1, n + 1):
-            shifted = mc_pairs(
-                oracle, alpha, zeta, T, ctx, rng,
-                omega=omega, shift_var=k, timings=timings, coeffs=coeff_list, master=master,
-            )
+            shifted = mc_pairs(oracle, alpha, zeta, T, ctx, rng, omega=omega, shift_var=k,
+                               timings=timings, known=known)
             with _timed(timings, "dlog"):
                 for i, ((_, vk), inverse) in enumerate(zip(shifted, inverses)):
                     if inverse == 0:

@@ -35,6 +35,8 @@ class SplittingBudgetError(RuntimeError):
     """Randomized equal-degree splitting exceeded its retry budget."""
 
 
+Master = tuple[list[int], list[int], list[int]]  # (v, M, w): see vandermonde_master
+
 # Draws per factor before SplittingBudgetError. Each splits a factor with
 # probability about 1/2 or better: an honest rng runs out once in ~2^64.
 _SPLIT_ATTEMPTS = 64
@@ -206,20 +208,28 @@ def _residues(m: list[int], p: int):
     return w, pack, red, reduce, unpack, power, gcd
 
 
+def _split_ring(lam: list[int], p: int):
+    """_residues(lam, p) if the monic lam, of degree t >= 2, has t distinct
+    roots in F_p, that is if z^p = z mod lam: one packed power decides.
+    Else TooFewRootsError names deg gcd(z^p - z, lam), the distinct roots."""
+    ring = w, pack, _, _, unpack, power, gcd = _residues(lam, p)
+    zp_z = unpack(power(pack([0, 1]), p) + (p - 1 << w))  # z^p - z
+    if zp_z:
+        raise TooFewRootsError(f"only {gcd(zp_z)[0]} distinct roots for degree {len(lam) - 1}")
+    return ring
+
+
 def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -> list[int]:
     """All roots of a monic polynomial with coefficients in [0, p), as
     berlekamp_massey gives them, required to be simple and to account for
-    the full degree. Returns the roots sorted ascending.
+    the full degree (_split_ring). Returns the roots sorted ascending.
 
-    lam has deg lam distinct roots in F_p exactly when it divides z^p - z,
-    that is when z^p = z mod lam: one packed power decides. Otherwise
-    TooFewRootsError names deg gcd(z^p - z, lam), the number of distinct
-    roots. A split lam is factored by equal-degree splitting: a factor h of
-    degree d > 1 with h(0) != 0 splits as g = gcd((z + delta)^((p-1)/2) - 1,
-    h) and h/g whenever 0 < deg g < d, for delta = rng.randrange(p), one
-    draw per attempt (von zur Gathen & Gerhard, Modern Computer Algebra,
-    ch. 14). All arithmetic modulo h runs on one packed ring per factor.
-    A factor of degree 1 gives its root -h(0) without a ring or a draw.
+    A split lam is factored by equal-degree splitting: a factor h of degree
+    d > 1 with h(0) != 0 splits as g = gcd((z + delta)^((p-1)/2) - 1, h)
+    and h/g whenever 0 < deg g < d, for delta = rng.randrange(p), one draw
+    per attempt (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+    All arithmetic modulo h runs on one packed ring per factor. A factor of
+    degree 1 gives its root -h(0) without a ring or a draw.
     """
     p = ctx.p
     lam = _trim(list(lam))
@@ -232,10 +242,7 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
         raise ValueError("polynomial must be monic")
     if t == 1:
         return [(-lam[0]) % p]
-    w, pack, _, _, unpack, power, gcd = ring = _residues(lam, p)
-    zp_z = unpack(power(pack([0, 1]), p) + (p - 1 << w))  # z^p - z
-    if zp_z:
-        raise TooFewRootsError(f"only {gcd(zp_z)[0]} distinct roots for degree {t}")
+    ring = _split_ring(lam, p)
     half = (p - 1) // 2
     roots: list[int] = []
     stack = [lam]
@@ -267,14 +274,10 @@ def find_distinct_roots(lam: list[int], ctx: FieldContext, rng: random.Random) -
 
 
 def roots_by_coefficient(
-    lam: Sequence[int],
-    seq: Sequence[int],
-    coeffs: Sequence[int],
-    ctx: FieldContext,
-    master: Optional[tuple[list[int], list[int]]] = None,
+    lam: Sequence[int], seq: Sequence[int], known: Master, ctx: FieldContext
 ) -> Optional[list[int]]:
     """The root u_j of the monic lam (as from berlekamp_massey) that carries
-    the known coefficient coeffs[j], for every j, or None.
+    c_j, for every j, for known = (c, M, w) = vandermonde_master(coeffs).
 
     P is the polynomial part of lam(z) sum_i a_i z^(-i-1), a_i = seq[i],
     i < t = deg lam. If a_i = sum_j c_j u_j^i and lam = prod (z - u_j), then
@@ -287,39 +290,42 @@ def roots_by_coefficient(
     s_i is the dot product of theta^r with a window of a read off one
     product of theta^(gk) mod lam and the reversed a. Then u solves a
     transposed Vandermonde system in the known, distinct c_j (Kaltofen &
-    Lakshman 1988), applied from master = (M, w), which if given must be
-    vandermonde_master(coeffs, ctx); it is only read, so one serves every
-    shifted run of a call. Without it the call builds its own.
+    Lakshman 1988) from known, which is only read: one serves every run.
 
-    Accepts only if deg lam = len(coeffs), the coeffs are distinct, lam' is
-    invertible mod lam (lam is squarefree), den = prod (z - u_j) is lam and
-    num = sum_j c_j den/(z - u_j) is P: the u_j are distinct roots of lam
-    with P(u_j) = c_j lam'(u_j). That is exactly when find_distinct_roots
-    succeeds and solve_transposed_vandermonde on its roots and seq[:t]
-    returns a permutation of coeffs, and the u_j are then those roots. If
+    Accepts only if t = len(c), lam' is invertible mod lam (lam is
+    squarefree), den = prod (z - u_j) is lam and num = sum_j c_j den/(z - u_j)
+    is P: the u_j are distinct roots of lam with P(u_j) = c_j lam'(u_j).
+    That is exactly when find_distinct_roots succeeds and
+    solve_transposed_vandermonde on its roots and seq[:t] returns a
+    permutation of c, and the u_j are then those roots. If
     lam = prod (z - r_l) with distinct r_l and the solve gives d, a
-    permutation of coeffs, then a_i = sum_l d_l r_l^i for i < 2t,
+    permutation of c, then a_i = sum_l d_l r_l^i for i < 2t,
     theta(r_l) = d_l, and u_j = r_l where d_l = c_j is the system's one
     solution, which passes. Conversely, den = lam gives t distinct roots
     u_j; the solve on them gives d with P = sum_j d_j lam/(z - u_j), so
     num = P leaves sum_j (c_j - d_j) lam/(z - u_j) = 0, which at u_j reads
     (c_j - d_j) lam'(u_j) = 0 with lam'(u_j) != 0. Only these checks
-    decide, whatever the computed u_j; no root finding, no randomness.
+    decide, whatever the computed u_j; no root finding, no randomness. A
+    rejection gives None, unless lam, of degree >= 2 (degree 1 splits),
+    fails _split_ring: then TooFewRootsError, as in find_distinct_roots.
     """
-    p = ctx.p
-    t = len(lam) - 1
-    coeffs = [c % p for c in coeffs]
-    if t != len(coeffs) or len(set(coeffs)) != t:
-        return None
+    p, t = ctx.p, len(lam) - 1
+    lam = [x % p for x in lam]
+    roots = _known_roots(lam, seq, known, ctx) if t == len(known[0]) else None
+    if roots is None and t > 1:
+        _split_ring(lam, p)
+    return roots
+
+
+def _known_roots(lam: list[int], seq: Sequence[int], known: Master, ctx: FieldContext):
+    """roots_by_coefficient for lam reduced mod p and t = len(c): roots or None."""
+    p, t = ctx.p, len(lam) - 1
     if not t:
         return []
-    lam = [x % p for x in lam]
     w, pack, red, reduce, unpack, _, gcd = _residues(lam, p)
     common, _, inv = gcd([i * lam[i] for i in range(1, t + 1)])
     if common:  # deg gcd(lam', lam) > 0
         return None
-    if master is None:
-        master = vandermonde_master(coeffs, ctx)
     a = [x % p for x in seq[:t]]
     for i in range(t):  # a_(i+t) by the recurrence
         a.append(-sum(map(mul, lam, a[i:])) % p)
@@ -339,9 +345,9 @@ def roots_by_coefficient(
         h = reduce(h * giant)
         prod = h * rev_a  # slots t - 1 .. 2t - 2 hold the window, reversed
         window = [(prod >> i & mask) % p for i in range((2 * t - 2) * w, (t - 2) * w, -w)]
-    roots = _vandermonde_apply(coeffs, master, s, ctx)
+    roots = _vandermonde_apply(known, s, ctx)
     num, den = 0, 1
-    for c, u in zip(coeffs, roots):  # num/den += c/(z - u)
+    for c, u in zip(known[0], roots):  # num/den += c/(z - u)
         lin = 1 << w | -u % p
         num, den = red(num * lin + c * den), red(den * lin)
     if unpack(den) != _trim(lam[:t]) or unpack(num) != unpack(poly):
@@ -349,9 +355,9 @@ def roots_by_coefficient(
     return roots
 
 
-def vandermonde_master(nodes: Sequence[int], ctx: FieldContext) -> tuple[list[int], list[int]]:
-    """(M, w) for distinct nodes v_i: M = prod (z - v_i), ascending, and
-    w_i = 1/M'(v_i), 2t + 1 ints that every solve in these nodes shares."""
+def vandermonde_master(nodes: Sequence[int], ctx: FieldContext) -> Master:
+    """(v, M, w) for distinct nodes, reduced to v_i: M = prod (z - v_i),
+    ascending, and w_i = 1/M'(v_i), which every solve in these nodes shares."""
     p = ctx.p
     nodes = [v % p for v in nodes]
     if len(set(nodes)) != len(nodes):
@@ -360,19 +366,17 @@ def vandermonde_master(nodes: Sequence[int], ctx: FieldContext) -> tuple[list[in
     for v in nodes:  # master *= z - v
         master = [(a + (p - v) * b) % p for a, b in zip([0] + master, master)] + [1]
     deriv = [i * master[i] % p for i in range(1, len(master))]
-    return master, [pow(eval_dense(deriv, v, ctx), -1, p) for v in nodes]
+    return nodes, master, [pow(eval_dense(deriv, v, ctx), -1, p) for v in nodes]
 
 
-def _vandermonde_apply(
-    nodes: Sequence[int], master: tuple[list[int], list[int]], rhs: Sequence[int], ctx: FieldContext
-) -> list[int]:
-    """The c_i with sum_i c_i v_i^j = rhs[j], j < t, for (M, w) =
+def _vandermonde_apply(known: Master, rhs: Sequence[int], ctx: FieldContext) -> list[int]:
+    """The c_i with sum_i c_i v_i^j = rhs[j], j < t, for (v, M, w) =
     vandermonde_master(nodes, ctx): c_i = N(v_i) w_i, where N, the
     polynomial part of M(z) sum_j rhs_j z^(-j-1), is slots t .. 2t - 1 of
     one product of packed M and reversed rhs (Kaltofen & Lakshman 1988). A
     slot sums at most t products below p^2, so w-bit slots never carry."""
+    nodes, m, weights = known
     p, t = ctx.p, len(nodes)
-    m, weights = master
     w = (t * (p - 1) ** 2).bit_length()
     x, y = 1, 0  # M is monic
     for a, b in zip(m[-2::-1], rhs):  # M from the top, rhs reversed
@@ -389,4 +393,4 @@ def solve_transposed_vandermonde(
     vandermonde_master(nodes), then apply it to rhs."""
     if not nodes or len(rhs) != len(nodes):
         raise ValueError("nodes and rhs must be nonempty and of equal length")
-    return _vandermonde_apply(nodes, vandermonde_master(nodes, ctx), rhs, ctx)
+    return _vandermonde_apply(vandermonde_master(nodes, ctx), rhs, ctx)

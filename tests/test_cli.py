@@ -12,7 +12,7 @@ from sparseip.cli import (
     run_selftest,
     write_bench_csv,
 )
-from sparseip.interpolator import FailReason
+from sparseip.interpolator import STAGES, FailReason
 
 
 def test_generate_creates_parseable_instance(tmp_path):
@@ -208,7 +208,8 @@ def test_bench_csv_schema(tmp_path):
     assert all(r[7].startswith("success=") for r in summaries)
     # every numeric column of a summary row is the rounded mean of its trials
     assert CSV_COLUMNS[8:] == ["probes", "us_probe", "us_bm", "us_roots", "us_vand",
-                               "us_dlog", "us_total"]
+                               "us_dlog", "us_assembly", "us_total"]
+    assert all(f"us_{stage}" in CSV_COLUMNS for stage in STAGES)
     for s in summaries:
         trials = [r for r in rows[1:] if r[:5] == s[:5] and r[5] != "mean"]
         assert len(trials) == 2

@@ -27,6 +27,7 @@ from sparseip.interpolator import (
     probe_sequence,
     success_probability_bound,
 )
+from sparseip.solvers import vandermonde_master
 
 P101 = FieldContext.for_prime(101)
 
@@ -275,8 +276,9 @@ def test_cross_run_coefficient_invariance():
 
 def test_mc_pairs_known_coefficients_give_the_same_pairs():
     base = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, random.Random(0))
-    known = [c for c, _ in base]
-    wrong = known[:-1] + [known[-1] + 1]
+    coeffs = [c for c, _ in base]
+    known = vandermonde_master(coeffs, P101)
+    wrong = vandermonde_master(coeffs[:-1] + [coeffs[-1] + 1], P101)
     for k in (1, 2, 3):
         plain_rng = random.Random(1)
         plain = mc_pairs(_oracle(), ALPHA, ZETA, 5, P101, plain_rng, omega=OMEGA, shift_var=k)
@@ -287,19 +289,19 @@ def test_mc_pairs_known_coefficients_give_the_same_pairs():
         oracle = _oracle()
         timings = {}
         assert mc_pairs(oracle, ALPHA, ZETA, 5, P101, rng, omega=OMEGA, shift_var=k,
-                        timings=timings, coeffs=known) == plain
+                        timings=timings, known=known) == plain
         assert rng.getstate() == state and oracle.probe_count == 10
         assert "roots" in timings and "vand" not in timings
-        # a list the run does not carry: the run Fails, and root finding,
-        # drawing from rng as the plain run does, only names the reason
-        rng, oracle, timings = random.Random(1), _oracle(), {}
+        # a list the run does not carry: the kernel names the Fail, and
+        # nothing is drawn from rng
+        oracle, timings = _oracle(), {}
         with pytest.raises(InterpolationFailure) as exc:
             mc_pairs(oracle, ALPHA, ZETA, 5, P101, rng, omega=OMEGA, shift_var=k,
-                     timings=timings, coeffs=wrong)
+                     timings=timings, known=wrong)
         assert exc.value.reason == FailReason.COEFFICIENT_MISMATCH
         assert str(exc.value) == f"variable {k}: {MISMATCH}"
         assert oracle.probe_count == 10 and "vand" not in timings
-        assert rng.getstate() == plain_rng.getstate()
+        assert rng.getstate() == state
 
 
 MISMATCH = "shifted coefficient list disagrees with base run"
@@ -321,10 +323,15 @@ def _root_finding_verdict(f, ctx, T, config, k):
     return None
 
 
-def test_shifted_run_fails_agree_with_root_finding():
+def test_shifted_run_fails_agree_with_root_finding(monkeypatch):
     # Far below the guarantee bound, shifted runs Fail often. Each such Fail
     # must be the one root finding and the coefficient-list comparison give;
-    # neither depends on rng, since found roots come out sorted.
+    # neither depends on rng, since found roots come out sorted. Only the
+    # base run finds roots, also when a shifted run Fails.
+    found = []
+    real = interpolator.find_distinct_roots
+    monkeypatch.setattr(interpolator, "find_distinct_roots",
+                        lambda *args: found.append(args) or real(*args))
     seen = {FailReason.COEFFICIENT_MISMATCH: 0, FailReason.TOO_FEW_ROOTS: 0}
     fields = [FieldContext.for_prime(101), FieldContext.for_prime(1009)]
     for seed in range(300):
@@ -334,9 +341,11 @@ def test_shifted_run_fails_agree_with_root_finding():
         t = min(t, (D + 1) ** n)
         T = max(1, t - rng.randint(0, 2))
         f = random_sparse_polynomial(n, t, D, ctx, rng)
+        found.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, T, D, ctx, rng, force=True)
+        assert len(found) == 1, seed
         run = (report.fail_detail or "").split(":")[0]
         if not run.startswith("variable ") or "," in run:  # not a shifted run's own Fail
             continue
@@ -383,6 +392,14 @@ def test_mc_pairs_fail_names_its_run():
     with pytest.raises(InterpolationFailure) as shifted:
         mc_pairs(_oracle(), ALPHA, ZETA, 3, P101, random.Random(0), omega=OMEGA, shift_var=3)
     assert str(shifted.value) == "variable 3: only 1 distinct roots for degree 3"
+    # with known coefficients the kernel names the same Fail and draws nothing
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InterpolationFailure) as known:
+        mc_pairs(_oracle(), ALPHA, ZETA, 3, P101, rng, omega=OMEGA, shift_var=3,
+                 known=vandermonde_master([1, 2, 3], P101))
+    assert known.value.reason == FailReason.TOO_FEW_ROOTS
+    assert str(known.value) == str(shifted.value) and rng.getstate() == state
 
 
 def _planted_oracle(lam, p):
@@ -479,8 +496,8 @@ def test_interpolate_builds_no_table_when_the_base_run_fails(monkeypatch):
 
 
 def _count_master(monkeypatch):
-    """Record every (M, w) interpolate builds for the shifted runs'
-    Vandermonde solves and the (M, w) each roots_by_coefficient call
+    """Record every (v, M, w) interpolate builds for the shifted runs'
+    Vandermonde solves and the (v, M, w) each roots_by_coefficient call
     receives."""
     built, used = [], []
     real_master, real_kernel = interpolator.vandermonde_master, interpolator.roots_by_coefficient
@@ -489,9 +506,9 @@ def _count_master(monkeypatch):
         built.append(real_master(*args))
         return built[-1]
 
-    def roots_by_coefficient(lam, seq, coeffs, ctx, master=None):
-        used.append(master)
-        return real_kernel(lam, seq, coeffs, ctx, master)
+    def roots_by_coefficient(lam, seq, known, ctx):
+        used.append(known)
+        return real_kernel(lam, seq, known, ctx)
 
     monkeypatch.setattr(interpolator, "vandermonde_master", vandermonde_master)
     monkeypatch.setattr(interpolator, "roots_by_coefficient", roots_by_coefficient)
@@ -507,8 +524,8 @@ def test_interpolate_builds_vandermonde_master_once_per_call(monkeypatch):
         report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, t, D, ctx, rng)
         assert report.succeeded and poly_equal(report.outcome, f)
         assert len(built) == 1 and len(used) == n
-        master, weights = built[0]
-        assert len(master) == t + 1 and len(weights) == t  # 2t + 1 ints
+        nodes, master, weights = built[0]
+        assert len(nodes) == len(weights) == t and len(master) == t + 1  # 3t + 1 ints
         assert all(shared is built[0] for shared in used)
         built.clear()
         used.clear()

@@ -456,57 +456,73 @@ def test_roots_splitting_budget_escapes_on_stuck_rng():
 def test_roots_by_coefficient_golden():
     # the worked example's roots carry coefficients (1, 54, 50, 43, 33)
     coeffs = [1, 33, 43, 50, 54]
-    assert roots_by_coefficient(LAMBDA_101, SEQ_101, coeffs, P101) == [1, 84, 43, 11, 2]
-    assert roots_by_coefficient(LAMBDA_101, SEQ_101, [1, 33, 43, 50, 55], P101) is None
-    assert roots_by_coefficient(LAMBDA_101, SEQ_101, coeffs[:4], P101) is None
+    known = vandermonde_master(coeffs, P101)
+    assert roots_by_coefficient(LAMBDA_101, SEQ_101, known, P101) == [1, 84, 43, 11, 2]
+    wrong = vandermonde_master([1, 33, 43, 50, 55], P101)
+    assert roots_by_coefficient(LAMBDA_101, SEQ_101, wrong, P101) is None
+    short = vandermonde_master(coeffs[:4], P101)
+    assert roots_by_coefficient(LAMBDA_101, SEQ_101, short, P101) is None
+
+
+def _outcome(call, *args):
+    # the call's result, or the TooFewRootsError it raises, as text
+    try:
+        return call(*args)
+    except TooFewRootsError as exc:
+        return f"TooFewRootsError: {exc}"
 
 
 def test_roots_by_coefficient_matches_root_finding_brute_force():
     # Every monic lam of degree t <= 3 over F_5 and every window of t probes.
     # The kernel must return roots exactly when root finding plus the solve
     # succeed and give back the same coefficient list, and then the same
-    # roots. Its verdict depends only on the set of coefficients, so at t = 3
-    # each set is tried in sorted order, and every order of the sets it
-    # accepts is checked.
+    # roots. Where root finding raises TooFewRootsError, the kernel must
+    # raise it with the same message; otherwise it returns None. Its verdict
+    # depends only on the set of coefficients, so at t = 3 each set is tried
+    # in sorted order, and every order of the sets it accepts is checked.
     p = 5
     ctx = FieldContext.for_prime(p)
     rng = random.Random(15)
-    accepted = set()
+    accepted, named = set(), 0
     for t in (1, 2, 3):
         pick = itertools.permutations if t < 3 else itertools.combinations
         coeff_lists = list(pick(range(1, p), t))
+        known = {c: vandermonde_master(c, ctx) for c in itertools.permutations(range(1, p), t)}
         for low in itertools.product(range(p), repeat=t):
             lam = [*low, 1]
-            try:
-                roots = find_distinct_roots(lam, ctx, rng)
-            except TooFewRootsError:
-                roots = None
+            roots = _outcome(find_distinct_roots, lam, ctx, rng)
+            rejected = roots if isinstance(roots, str) else None
             for window in itertools.product(range(p), repeat=t):
                 solved = {}
-                if roots is not None:
+                if rejected is None:
                     d = solve_transposed_vandermonde(roots, list(window), ctx)
                     solved = dict(zip(d, roots))
                 for coeffs in coeff_lists:
                     if sorted(solved) != sorted(coeffs):
-                        assert roots_by_coefficient(lam, window, coeffs, ctx) is None
+                        found = _outcome(roots_by_coefficient, lam, window, known[coeffs], ctx)
+                        assert found == rejected
+                        named += rejected is not None
                         continue
                     accepted.add((tuple(lam), window))
                     for order in itertools.permutations(coeffs):
-                        found = roots_by_coefficient(lam, window, order, ctx)
+                        found = roots_by_coefficient(lam, window, known[order], ctx)
                         assert found == [solved[c] for c in order]
     # accepted: t distinct roots (C(5, t) choices) times the ordered lists of
     # t distinct nonzero coefficients (4!/(4-t)!) that the window encodes
     assert len(accepted) == sum(math.comb(5, t) * math.perm(4, t) for t in (1, 2, 3))
+    # named: each lam of degree 2 or 3 without its full set of distinct
+    # roots, with every window and every coefficient list
+    unsplit = {t: p**t - math.comb(p, t) for t in (2, 3)}
+    assert named == unsplit[2] * p**2 * math.perm(4, 2) + unsplit[3] * p**3 * math.comb(4, 3)
 
 
 def _kernel_oracle(lam, seq, coeffs, ctx, rng):
-    # What the kernel must return: root finding plus the solve, matched to
-    # coeffs, or None.
+    # What the kernel must give: root finding's TooFewRootsError, as text,
+    # or root finding plus the solve, matched to coeffs, or None.
     t = len(lam) - 1
-    try:
-        roots = find_distinct_roots(lam, ctx, rng)
-    except TooFewRootsError:
-        return None
+    roots = _outcome(find_distinct_roots, lam, ctx, rng)
+    if isinstance(roots, str):
+        return roots
     if len(coeffs) != t:
         return None
     solved = dict(zip(solve_transposed_vandermonde(roots, seq[:t], ctx), roots))
@@ -524,14 +540,14 @@ def _monic_from_roots(roots, p):
 
 @pytest.mark.parametrize("p", [140122640051, 4611686018427387847])
 def test_roots_by_coefficient_matches_root_finding_at_large_primes(p):
-    # Planted instances, corrupted probes, shuffled, changed, short, long and
-    # repeated coefficient lists, a zero coefficient, a squared factor and a
-    # random (rarely split) annihilator, with the call's own (M, w) and with
-    # a shared one, against find_distinct_roots plus the transposed
-    # Vandermonde solve.
+    # Planted instances, corrupted probes, shuffled, changed, short and long
+    # coefficient lists, a zero coefficient, a squared factor and a random
+    # (rarely split) annihilator, against find_distinct_roots plus the
+    # transposed Vandermonde solve, its TooFewRootsError included. A
+    # repeated coefficient list has no (v, M, w).
     ctx = FieldContext.for_prime(p)
     rng = random.Random(p % 1000)
-    accepted = 0
+    accepted = named = 0
     for t in (1, 2, 5, 10, 50):
         roots = rng.sample(range(p), t)
         coeffs = rng.sample(range(1, p), t)
@@ -551,23 +567,23 @@ def test_roots_by_coefficient_matches_root_finding_at_large_primes(p):
             (lam, seq, changed),
             (lam, seq, coeffs[:-1]),
             (lam, seq, coeffs + [rng.randrange(1, p)]),
-            (lam, seq, [coeffs[0]] * t),
             (lam, _prony_sequence(zero, roots, t, p), zero),
             (_monic_from_roots(roots[:-1] + roots[:1], p), seq, coeffs),
             ([rng.randrange(p) for _ in range(t)] + [1], seq, coeffs),
         ]
         for case_lam, case_seq, case_coeffs in cases:
             expected = _kernel_oracle(case_lam, case_seq, case_coeffs, ctx, rng)
-            found = roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx)
-            assert found == expected
-            if len(set(case_coeffs)) == len(case_coeffs):
-                master = vandermonde_master(case_coeffs, ctx)
-                assert roots_by_coefficient(case_lam, case_seq, case_coeffs, ctx, master) == expected
-            accepted += expected is not None
-        assert roots_by_coefficient(lam, seq, shuffled, ctx) == [
+            known = vandermonde_master(case_coeffs, ctx)
+            assert _outcome(roots_by_coefficient, case_lam, case_seq, known, ctx) == expected
+            accepted += isinstance(expected, list)
+            named += isinstance(expected, str)
+        if t > 1:
+            with pytest.raises(ValueError):
+                vandermonde_master([coeffs[0]] * t, ctx)
+        assert roots_by_coefficient(lam, seq, vandermonde_master(shuffled, ctx), ctx) == [
             roots[coeffs.index(c)] for c in shuffled
         ]
-    assert accepted >= 3 * 5
+    assert accepted >= 3 * 5 and named >= 4  # the squared factor at t > 1, at least
 
 
 def test_eval_dense_matches_the_power_sum():
@@ -618,9 +634,10 @@ def _check_solves(c, nodes, rhs, p):
 
 
 def test_vandermonde_solve_agrees_with_shared_master_at_large_primes():
-    # (M, w) holds M = prod (z - v_i) and w_i = 1/M'(v_i), as the
-    # known-coefficient kernel reads them: applying it to rhs must give the
-    # solve's c_i, the one solution, also for unreduced nodes and rhs.
+    # (v, M, w) holds the reduced nodes v_i, M = prod (z - v_i) and
+    # w_i = 1/M'(v_i), as the known-coefficient kernel reads them: applying
+    # it to rhs must give the solve's c_i, the one solution, also for
+    # unreduced nodes and rhs.
     for p in (140122640051, 4611686018427387847):
         ctx = FieldContext.for_prime(p)
         rng = random.Random(p)
@@ -628,13 +645,14 @@ def test_vandermonde_solve_agrees_with_shared_master_at_large_primes():
             nodes = [v + rng.choice((0, p, -p)) for v in rng.sample(range(p), t)]
             rhs = [rng.randrange(-p, 2 * p) for _ in range(t)]
             c = solve_transposed_vandermonde(nodes, rhs, ctx)
-            master, weights = shared = vandermonde_master(nodes, ctx)
+            reduced, master, weights = shared = vandermonde_master(nodes, ctx)
+            assert reduced == [v % p for v in nodes]
             assert len(master) == t + 1 and master[-1] == 1 and len(weights) == t
             deriv = [i * master[i] for i in range(1, t + 1)]
             for v, u in zip(nodes, weights):
                 assert eval_dense(master, v, ctx) == 0
                 assert eval_dense(deriv, v, ctx) * u % p == 1
-            assert c == _vandermonde_apply(nodes, shared, rhs, ctx)
+            assert c == _vandermonde_apply(shared, rhs, ctx)
             _check_solves(c, nodes, rhs, p)
 
 
@@ -651,14 +669,14 @@ def test_vandermonde_solve_in_the_widest_slots(t):
     rhs = [p - 1, -1, 2 * p - 1] + [rng.randrange(-p, 2 * p) for _ in range(t - 3)]
     c = solve_transposed_vandermonde(nodes, rhs, ctx)
     _check_solves(c, nodes, rhs, p)
-    assert c == _vandermonde_apply(nodes, vandermonde_master(nodes, ctx), rhs, ctx)
+    assert c == _vandermonde_apply(vandermonde_master(nodes, ctx), rhs, ctx)
     # M's low coefficients and rhs all at p - 1 (rhs unreduced as -1): slot
     # t - 1 of the packed product then sums t products (p - 1)^2, the most
     # a slot can hold, and a carry out of it would corrupt N's lowest slot.
     m = [p - 1] * t + [1]
     numer = [sum(m[i + j + 1] * (p - 1) for j in range(t - i)) % p for i in range(t)]
     expected = [sum(a * pow(v, i, p) for i, a in enumerate(numer)) % p for v in nodes]
-    assert _vandermonde_apply(nodes, (m, [1] * t), [-1] * t, ctx) == expected
+    assert _vandermonde_apply(([v % p for v in nodes], m, [1] * t), [-1] * t, ctx) == expected
 
 
 def test_roots_by_coefficient_accepts_in_the_widest_slots():
@@ -672,9 +690,7 @@ def test_roots_by_coefficient_accepts_in_the_widest_slots():
     seq = _prony_sequence(coeffs, roots, 2 * t, p)
     lam = list(berlekamp_massey(seq, ctx).lam)
     assert lam == _monic_from_roots(roots, p)
-    master = vandermonde_master(coeffs, ctx)
-    assert roots_by_coefficient(lam, seq, coeffs, ctx) == roots
-    assert roots_by_coefficient(lam, seq, coeffs, ctx, master) == roots
+    assert roots_by_coefficient(lam, seq, vandermonde_master(coeffs, ctx), ctx) == roots
 
 
 def test_bm_roots_duality():
