@@ -75,7 +75,7 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
     (name, ok, expected, actual) per check, one per stage, in order: the
     base run's probes, recurrence, roots and sorted pairs; per variable k,
     the known-coefficient kernel's values (one shared vandermonde_master)
-    and the exponent row (one table for all n*T logs); then interpolate's
+    and the exponent row (one table for all n*t logs); then interpolate's
     outcome, recovered polynomial and probe count."""
     g = GOLDEN
     ctx = FieldContext.for_prime(g["p"])
@@ -101,7 +101,7 @@ def run_selftest() -> list[tuple[str, bool, object, object]]:
     check("sorted pairs", g["pairs"], tuple(pairs))
 
     known = vandermonde_master([c for c, _ in pairs], ctx)
-    baby = baby_steps(ctx, omega, D, n * T)
+    baby = baby_steps(ctx, omega, D, n * len(pairs))
     for k in range(1, n + 1):
         shifted = mc_pairs(oracle, g["alpha"], g["zeta"], T, ctx, rng,
                            omega=omega, shift_var=k, known=known)

@@ -22,7 +22,8 @@ from typing import Optional
 
 MAX_MODULUS_BITS = 62
 
-# Deterministic Miller-Rabin witness set, valid far beyond 2^62.
+# Deterministic Miller-Rabin bases: they decide primality only below
+# 318665857834031151167461 = 399165290221 * 798330580441, which passes all 12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_DIVISION_LIMIT = 10**6

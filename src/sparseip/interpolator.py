@@ -163,8 +163,6 @@ def mc_pairs(
             detail = f"{run}: shifted coefficient list disagrees with base run"
             raise InterpolationFailure(FailReason.COEFFICIENT_MISMATCH, detail)
         return list(zip(known[0], roots))
-    if not roots:
-        return []
     with _timed(timings, "vand"):
         coeffs = solve_transposed_vandermonde(roots, seq[: rec.t], ctx)
     return sorted(zip(coeffs, roots))
@@ -206,14 +204,15 @@ def interpolate(
     shifted run per variable, matches terms positionally (a shifted run
     returns its pairs in the base run's coefficient order or Fails),
     recovers each exponent by a bounded discrete log and each coefficient by
-    undoing the variable scaling. The base run's coefficients' (v, M, w)
-    from solvers.vandermonde_master is built once, after its duplicate
-    check, in the vand stage beside the base run's solve, and the baby-step
-    table for (omega, D) once, sized for all n*t discrete logs, when the
-    first of them is due; each is shared, and neither outlives the call.
+    undoing the variable scaling. Once the base run passes its duplicate
+    check, what the n shifted runs share is built once: (v, M, w) =
+    solvers.vandermonde_master of its coefficients (vand stage), then its
+    values' inverses and the baby-step table for (omega, D), sized for all
+    n*t logs (dlog stage). None outlives the call.
 
-    Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 unless force is set
-    (then it warns and proceeds; the probability guarantee is void), and
+    Raises FieldTooSmallError when p < 2(n+2)T^2D + 1 (a simpler sufficient
+    bound, which can exceed min_field_size(n, T, D, 1/4)) unless force is
+    set (then it warns and proceeds; the probability guarantee is void), and
     ValueError on malformed arguments. Detectable assumption violations
     yield a Fail report, never an exception. The one internal error that can
     escape is solvers.SplittingBudgetError, when 64 draws in a row from rng
@@ -275,12 +274,12 @@ def interpolate(
                 "base run: scaled coefficients are not pairwise distinct; matching is ambiguous",
             )
         exponents = [[0] * n for _ in range(t)]
-        baby = None
+        with _timed(timings, "vand"):
+            known = vandermonde_master(coeff_list, ctx)
         with _timed(timings, "dlog"):
             # 0 stands in for the inverse of a zero value, which has none
             inverses = [pow(v, -1, p) if v else 0 for _, v in base]
-        with _timed(timings, "vand"):
-            known = vandermonde_master(coeff_list, ctx)
+            baby = baby_steps(ctx, omega, D, n * t)
         for k in range(1, n + 1):
             shifted = mc_pairs(oracle, alpha, zeta, T, ctx, rng, omega=omega, shift_var=k,
                                timings=timings, known=known)
@@ -291,8 +290,6 @@ def interpolate(
                             FailReason.DLOG_OUT_OF_RANGE,
                             f"variable {k}, term {i}: zero monomial value",
                         )
-                    if baby is None:
-                        baby = baby_steps(ctx, omega, D, n * t)
                     e = bounded_dlog(ctx, omega, vk * inverse % p, D, baby)
                     if e is None:
                         raise InterpolationFailure(
@@ -326,7 +323,8 @@ def success_probability_bound(n: int, T: int, D: int, q: int) -> Fraction:
 
 def min_field_size(n: int, T: int, D: int, epsilon: Union[Fraction, float, str]) -> int:
     """Smallest field size guaranteeing failure probability <= epsilon:
-    ceil((n+2)T(T-1)D / (2 epsilon)) + 1, floored at 2."""
+    ceil((n+2)T(T-1)D / (2 epsilon)) + 1, floored at 2. interpolate's guard
+    is a simpler sufficient bound and can exceed it at epsilon = 1/4."""
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError("epsilon must be in (0, 1)")

@@ -382,7 +382,7 @@ def _vandermonde_apply(known: Master, rhs: Sequence[int], ctx: FieldContext) -> 
     for a, b in zip(m[-2::-1], rhs):  # M from the top, rhs reversed
         x, y = x << w | a, y << w | b % p
     prod, mask = x * y, (1 << w) - 1
-    numer = [(prod >> i & mask) % p for i in range(t * w, 2 * t * w, w)]
+    numer = [(prod >> i * w & mask) % p for i in range(t, 2 * t)]
     return [eval_dense(numer, v, ctx) * u % p for v, u in zip(nodes, weights)]
 
 
@@ -390,7 +390,7 @@ def solve_transposed_vandermonde(
     nodes: list[int], rhs: list[int], ctx: FieldContext
 ) -> list[int]:
     """Solve sum_i c_i * nodes[i]^j = rhs[j] for j = 0..t-1: build
-    vandermonde_master(nodes), then apply it to rhs."""
-    if not nodes or len(rhs) != len(nodes):
-        raise ValueError("nodes and rhs must be nonempty and of equal length")
+    vandermonde_master(nodes), then apply it to rhs (at t = 0, [])."""
+    if len(rhs) != len(nodes):
+        raise ValueError("nodes and rhs must have equal length")
     return _vandermonde_apply(vandermonde_master(nodes, ctx), rhs, ctx)

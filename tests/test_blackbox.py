@@ -271,6 +271,29 @@ def test_random_polynomial_impossible_t():
         random_sparse_polynomial(2, 10, 2, P101, rng)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SparsePolynomial(2, ((1, (0,)),)),
+         "exponent vector length does not match variable count"),
+        (lambda: sparse_polynomial(-1, [], P101), "variable count must be nonnegative"),
+        (lambda: sparse_polynomial(2, [(1, (0,))], P101),
+         "exponent vector length does not match variable count"),
+        (lambda: sparse_polynomial(1, [(1, (-1,))], P101), "exponents must be nonnegative"),
+        (lambda: random_sparse_polynomial(0, 1, 1, P101, random.Random(0)),
+         "need n >= 1, t >= 1, D >= 0"),
+        (lambda: random_sparse_polynomial(1, 0, 1, P101, random.Random(0)),
+         "need n >= 1, t >= 1, D >= 0"),
+        (lambda: random_sparse_polynomial(1, 1, -1, P101, random.Random(0)),
+         "need n >= 1, t >= 1, D >= 0"),
+    ],
+)
+def test_blackbox_precondition_errors(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_random_polynomial_deterministic():
     a = random_sparse_polynomial(3, 6, 10, P101, random.Random(42))
     b = random_sparse_polynomial(3, 6, 10, P101, random.Random(42))

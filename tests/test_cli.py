@@ -2,6 +2,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from sparseip import cli, field
 from sparseip.blackbox import poly_equal, read_instance
 from sparseip.cli import (
@@ -45,6 +47,23 @@ def test_generate_round_trip(tmp_path):
 def test_generate_invalid_params():
     assert main(["generate", "--n", "2", "--t", "100", "--D", "2", "--p", "101"]) == 1
     assert main(["generate", "--n", "2", "--t", "1", "--D", "2", "--p", "100"]) == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: run_bench("q", [1], n=1, T=1, D=1, p=101, trials=1, seed=0),
+         "vary must be one of n, T, D"),
+        (lambda: cli._parse_fixed_randomness("5;34", 1),
+         "expected 'a1,...,an;z1,...,zn;omega'"),
+        (lambda: cli._parse_fixed_randomness("5,59;34;34", 1), "need 1 alpha and 1 zeta values"),
+        (lambda: cli._parse_fixed_randomness("5;34,29;34", 1), "need 1 alpha and 1 zeta values"),
+    ],
+)
+def test_cli_precondition_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_interpolate_fixed_randomness_golden(tmp_path, capsys):

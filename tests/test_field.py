@@ -46,6 +46,56 @@ def test_factorize_known():
     assert factorize(2**31 - 1) == [(2147483647, 1)]
 
 
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [(1000003, 1), (1000033, 1)],
+        [(1000003, 2)],
+        [(1000003, 3)],
+        [(1000003, 1), (1000033, 1), (1000037, 1)],
+        [(1000003, 2), (1000033, 1)],
+        [(1000003, 1), (999999999989, 1)],
+    ],
+)
+def test_factorize_splits_cofactors_above_trial_division(factors):
+    # Every prime is above the trial-division limit 10^6, so each split is
+    # Pollard rho's; sympy is the primality oracle.
+    import sympy
+
+    n = math.prod(q**m for q, m in factors)
+    got = factorize(n)
+    assert got == factors
+    assert math.prod(q**m for q, m in got) == n
+    assert all(sympy.isprime(q) for q, _ in got)
+
+
+def test_order_factorization_with_two_large_primes():
+    # p - 1 = 2 * 608681357 * 840893653: the cofactor left after trial
+    # division is a product of two primes above 10^6.
+    import sympy
+
+    p = 1023672579601454243
+    ctx = FieldContext.for_prime(p)
+    assert ctx.order_factorization == ((2, 1), (608681357, 1), (840893653, 1))
+    assert dict(ctx.order_factorization) == sympy.factorint(p - 1)
+
+
+def test_is_probable_prime_rejects_pseudoprimes():
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # bases 2, 3, 5 and 7, and 3825123056546413051 to every prime base up
+    # to 23; sympy is the oracle.
+    import sympy
+
+    for n in (561, 3215031751, 3825123056546413051):
+        assert not sympy.isprime(n)
+        assert not is_probable_prime(n)
+    # The 12 bases decide primality only below this composite, which
+    # passes all of them; check_modulus caps p far below it, at 2^62.
+    n = 399165290221 * 798330580441
+    assert n == 318665857834031151167461 and not sympy.isprime(n)
+    assert is_probable_prime(n)
+
+
 def _brute_order(g, p):
     x = 1
     for k in range(1, p):
@@ -229,6 +279,25 @@ def test_bounded_dlog_large_primes(p):
 def test_bounded_dlog_rejects_bad_bound():
     with pytest.raises(ValueError):
         bounded_dlog(P101, 34, 1, 100)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: factorize(0), "can only factor positive integers"),
+        (lambda: bounded_dlog(P101, 34, 1, -1), "bound must be nonnegative"),
+    ],
+)
+def test_field_precondition_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_find_primitive_root_at_two():
+    ctx = FieldContext.for_prime(2)
+    assert find_primitive_root(ctx, random.Random(0)) == 1
+    assert is_primitive_root(ctx, 1)
 
 
 def test_sample_nonzero_range_and_determinism():

@@ -177,6 +177,47 @@ def test_interpolate_rejects_bad_omega():
         interpolate(oracle, 1, 1, 5, ctx, random.Random(0), omega=1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: probe_sequence(_oracle(), ALPHA, ZETA, 1, P101, omega=OMEGA, shift_var=4),
+         "shift_var out of range"),
+        (lambda: probe_sequence(_oracle(), ALPHA, ZETA, 1, P101, shift_var=1),
+         "shifted run requires omega"),
+        (lambda: interpolate(_oracle(), 0, 5, 5, P101, random.Random(0)),
+         "need n >= 1, T >= 1, D >= 0"),
+        (lambda: interpolate(_oracle(), 3, 0, 5, P101, random.Random(0)),
+         "need n >= 1, T >= 1, D >= 0"),
+        (lambda: interpolate(_oracle(), 3, 5, -1, P101, random.Random(0)),
+         "need n >= 1, T >= 1, D >= 0"),
+        (lambda: interpolate(_oracle(), 3, 5, 100, P101, random.Random(0), force=True),
+         "degree bound must be below p - 1"),
+        (lambda: interpolate(_oracle(), 3, 5, 5, P101, random.Random(0), alpha=ALPHA[:2],
+                             force=True),
+         "alpha and zeta must be n nonzero field elements"),
+        (lambda: interpolate(_oracle(), 3, 5, 5, P101, random.Random(0), zeta=(34, 29, 101),
+                             force=True),
+         "alpha and zeta must be n nonzero field elements"),
+    ],
+)
+def test_interpolator_precondition_errors(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError) as exc:
+            call()
+    assert str(exc.value) == message
+
+
+def test_interpolate_at_p_two():
+    # F_2 has one nonzero element, so alpha = zeta = omega = 1 and D = 0
+    ctx = FieldContext.for_prime(2)
+    for terms in ([(1, (0, 0))], []):
+        f = sparse_polynomial(2, terms, ctx)
+        report = interpolate(EvaluationOracle.from_polynomial(f, ctx), 2, 1, 0, ctx, random.Random(0))
+        assert report.succeeded and poly_equal(report.outcome, f)
+        assert report.probes == 2 * 3 * 1
+
+
 def test_interpolate_forced_monomial_collision_fails_or_wrong():
     # alpha = (1, 1): every monomial evaluates to 1, a hard Assumption-1
     # violation. Must be a clean Fail, never a crash.
@@ -257,6 +298,23 @@ def test_min_field_size():
         min_field_size(3, 5, 5, 0)
     with pytest.raises(ValueError):
         min_field_size(3, 5, 5, 1)
+
+
+def test_guard_is_stricter_than_min_field_size():
+    # The guard 2(n+2)T^2D + 1 is a simpler sufficient bound than
+    # min_field_size(n, T, D, 1/4): at (3, 10, 20) it is 20001 against 18001,
+    # so p = 19997 has a bound of at least 3/4 and still needs force.
+    n, T, D, p = 3, 10, 20, 19997
+    assert min_field_size(n, T, D, Fraction(1, 4)) == 18001 < p < 2 * (n + 2) * T * T * D + 1
+    assert success_probability_bound(n, T, D, p) == Fraction(3874, 4999) >= Fraction(3, 4)
+    ctx = FieldContext.for_prime(p)
+    rng = random.Random(0)
+    f = random_sparse_polynomial(n, T, D, ctx, rng)
+    with pytest.raises(FieldTooSmallError):
+        interpolate(EvaluationOracle.from_polynomial(f, ctx), n, T, D, ctx, rng)
+    with pytest.warns(UserWarning):
+        report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, T, D, ctx, rng, force=True)
+    assert report.succeeded and poly_equal(report.outcome, f)
 
 
 def test_cross_run_coefficient_invariance():
@@ -459,17 +517,26 @@ def _count_tables(monkeypatch):
 
 def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
     built, used = _count_tables(monkeypatch)
+    counted, oracle, at = interpolator.baby_steps, None, []
+    monkeypatch.setattr(interpolator, "baby_steps",
+                        lambda *args: at.append(oracle.probe_count) or counted(*args))
     ctx = FieldContext.for_prime(140122640051)
     rng = random.Random(12)
     # p - 1 = 2 * 5^2 * q. The table serves L = n*t logs, so it has
     # m = isqrt(L (D//s + 1) / 2) + 1 baby steps here. At D = 10^6, L = 18,
     # the divisor 50 cuts the giant steps per log from 10^6 // 3001 = 333 to
     # 20000 // 425 = 47, so s = 50 and m = 425. At D = 15, L = 8, the divisor
-    # 2 would leave 7 // 6 = 1 of 15 // 9 = 1, so s = 1 and m = 9.
-    for n, t, D, expected_s, expected_m in [(3, 6, 10**6, 50, 425), (2, 4, 15, 1, 9)]:
-        f = random_sparse_polynomial(n, t, D, ctx, rng)
-        report = interpolate(EvaluationOracle.from_polynomial(f, ctx), n, t, D, ctx, rng)
+    # 2 would leave 7 // 6 = 1 of 15 // 9 = 1, so s = 1 and m = 9. The zero
+    # polynomial passes the duplicate check too: L = 0 gives m = isqrt(15)
+    # + 1 = 4, and no log reads the table.
+    for n, t, D, expected_s, expected_m in [(3, 6, 10**6, 50, 425), (2, 4, 15, 1, 9),
+                                             (2, 0, 15, 1, 4)]:
+        f = random_sparse_polynomial(n, t, D, ctx, rng) if t else sparse_polynomial(n, [], ctx)
+        oracle = EvaluationOracle.from_polynomial(f, ctx)
+        report = interpolate(oracle, n, max(t, 1), D, ctx, rng)
         assert report.succeeded and poly_equal(report.outcome, f)
+        # built after the base run's 2T probes, before any shifted probe
+        assert at == [2 * max(t, 1)]
         assert len(built) == 1 and len(used) == n * t
         assert all(baby is built[0] for baby in used)
         s, sub, steps, _, unshift = built[0]
@@ -477,6 +544,7 @@ def test_interpolate_builds_one_baby_step_table_per_call(monkeypatch):
         assert len(sub) == len(unshift) == s and len(steps) == expected_m
         built.clear()
         used.clear()
+        at.clear()
 
 
 def test_interpolate_builds_no_table_when_the_base_run_fails(monkeypatch):

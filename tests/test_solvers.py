@@ -609,6 +609,28 @@ def test_vandermonde_1x1():
     assert solve_transposed_vandermonde([7], [33], P101) == [33]
 
 
+def test_vandermonde_empty_system():
+    # t = 0, as in a run on the zero polynomial: no nodes, no unknowns
+    assert solve_transposed_vandermonde([], [], P101) == []
+    assert vandermonde_master([], P101) == ([], [1], [])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: find_distinct_roots([0, 0], P101, random.Random(0)),
+         "zero polynomial has no well-defined root set"),
+        (lambda: find_distinct_roots([1, 2], P101, random.Random(0)), "polynomial must be monic"),
+        (lambda: solve_transposed_vandermonde([1], [], P101), "nodes and rhs must have equal length"),
+        (lambda: solve_transposed_vandermonde([], [1], P101), "nodes and rhs must have equal length"),
+    ],
+)
+def test_solvers_precondition_errors(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_vandermonde_duplicate_nodes_rejected():
     with pytest.raises(ValueError):
         solve_transposed_vandermonde([3, 3], [1, 2], P101)
