@@ -244,7 +244,7 @@ def cmd_interpolate(args: argparse.Namespace) -> int:
     hidden, p, file_D = read_instance(args.instance)
     ctx = FieldContext.for_prime(p)
     n = hidden.n
-    T = args.T if args.T is not None else hidden.term_count
+    T = args.T if args.T is not None else max(1, hidden.term_count)
     D = args.D if args.D is not None else file_D
     alpha = zeta = omega = None
     if args.fixed_randomness:
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     i = sub.add_parser("interpolate", help="interpolate a file-backed oracle")
     i.add_argument("instance")
-    i.add_argument("--T", type=int, default=None, help="term bound (default: t from file)")
+    i.add_argument("--T", type=int, default=None, help="term bound (default: max(1, t) from file)")
     i.add_argument("--D", type=int, default=None, help="degree bound (default: from file)")
     i.add_argument("--seed", type=int, default=0)
     i.add_argument("--force", action="store_true",

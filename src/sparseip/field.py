@@ -15,6 +15,7 @@ bounded_dlog call.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -26,8 +27,6 @@ MAX_MODULUS_BITS = 62
 # 318665857834031151167461 = 399165290221 * 798330580441, which passes all 12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TRIAL_DIVISION_LIMIT = 10**6
-
 
 def is_probable_prime(n: int) -> bool:
     if n < 2:
@@ -36,10 +35,8 @@ def is_probable_prime(n: int) -> bool:
         if n % q == 0:
             return n == q
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -53,32 +50,17 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    """Find a nontrivial factor of an odd composite n (Brent's variant)."""
-    while True:
-        y = rng.randrange(2, n)
-        c = rng.randrange(1, n)
-        m = 128
-        g = r = q = 1
-        x = ys = y
+def _pollard_rho(n: int) -> int:
+    """Return a proper factor of an odd composite n: Pollard's rho on
+    x -> x^2 + c from x = 2 with Floyd's cycle finding, for c = 1, 2, ..."""
+    for c in itertools.count(1):
+        x = y = 2
+        g = 1
         while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g != n:
             return g
 
@@ -86,29 +68,23 @@ def _pollard_rho(n: int, rng: random.Random) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into sorted (prime, multiplicity) pairs.
 
-    Trial division up to 10^6, then Pollard rho on whatever cofactor is left.
+    The power of 2 is read off the lowest set bit. Each odd part left is
+    recorded if Miller-Rabin calls it prime, else split by Pollard's rho.
     """
     if n < 1:
         raise ValueError("can only factor positive integers")
-    factors: dict[int, int] = {}
-    d = 2
-    while d <= _TRIAL_DIVISION_LIMIT and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    rng = random.Random(0xFAC7)
-    stack = [n] if n > 1 else []
+    twos = (n & -n).bit_length() - 1
+    factors = {2: twos} if twos else {}
+    stack = [n >> twos]
     while stack:
         m = stack.pop()
         if m == 1:
             continue
         if is_probable_prime(m):
             factors[m] = factors.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
+        else:
+            d = _pollard_rho(m)
+            stack += (d, m // d)
     return sorted(factors.items())
 
 

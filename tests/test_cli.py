@@ -155,6 +155,20 @@ def test_interpolate_degree_bound_zero_round_trip(tmp_path, capsys):
     assert "probes: 6" in out.splitlines() and "match: yes" in out.splitlines()
 
 
+def test_interpolate_zero_term_instance_defaults_term_bound_to_one(tmp_path, capsys):
+    # T defaults to max(1, t): a file with t = 0 needs no --T.
+    inst = tmp_path / "inst.txt"
+    inst.write_text("140122640051 2 0 5\n")
+    assert main(["interpolate", str(inst)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(inst.read_text())
+    assert "probes: 6" in out.splitlines() and "match: yes" in out.splitlines()
+    assert main(["interpolate", str(inst), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["outcome"] == "success" and payload["match"] is True
+    assert payload["probes"] == 6 and payload["polynomial"] == []
+
+
 def test_interpolate_larger_term_bound(tmp_path, capsys):
     inst = tmp_path / "inst.txt"
     main(["generate", "--n", "2", "--t", "3", "--D", "5", "--p", "140122640051",

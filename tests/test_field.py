@@ -44,6 +44,16 @@ def test_factorize_known():
     assert factorize(100) == [(2, 2), (5, 2)]
     assert factorize(1) == []
     assert factorize(2**31 - 1) == [(2147483647, 1)]
+    assert factorize(2) == [(2, 1)]
+    assert factorize(2**61) == [(2, 61)]
+    # 2^60 - 1 = 3^2 * 5^2 * 7 * 11 * 13 * 31 * 41 * 61 * 151 * 331 * 1321
+    assert factorize(2**61 - 2) == [
+        (2, 1), (3, 2), (5, 2), (7, 1), (11, 1), (13, 1), (31, 1), (41, 1),
+        (61, 1), (151, 1), (331, 1), (1321, 1),
+    ]
+    assert factorize(3885055214616576000) == [
+        (2, 30), (3, 5), (5, 3), (7, 2), (11, 1), (13, 1), (17, 1),
+    ]
 
 
 @pytest.mark.parametrize(
@@ -58,8 +68,9 @@ def test_factorize_known():
     ],
 )
 def test_factorize_splits_cofactors_above_trial_division(factors):
-    # Every prime is above the trial-division limit 10^6, so each split is
-    # Pollard rho's; sympy is the primality oracle.
+    # Every prime is above 10^6, and some repeat, so rho must split both
+    # products of distinct primes and prime powers; sympy is the primality
+    # oracle.
     import sympy
 
     n = math.prod(q**m for q, m in factors)
@@ -69,9 +80,55 @@ def test_factorize_splits_cofactors_above_trial_division(factors):
     assert all(sympy.isprime(q) for q, _ in got)
 
 
+def _trial_division(n):
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return sorted(factors.items())
+
+
+def test_factorize_matches_trial_division_below_20000():
+    for n in range(1, 20000):
+        assert factorize(n) == _trial_division(n), n
+
+
+def test_factorize_group_orders_of_62_bit_primes():
+    # p - 1 for seeded random 62-bit primes, plus hard odd parts: two primes
+    # of 30-31 bits, or the cube of a 20-bit prime. sympy is the primality
+    # oracle; sympy.factorint is too slow on the hard values to serve here.
+    import sympy
+
+    rng = random.Random(26)
+
+    def prime_in(lo, hi):
+        while True:
+            q = rng.randrange(lo, hi) | 1
+            if sympy.isprime(q):
+                return q
+
+    for n in [prime_in(2**61, 2**62) - 1 for _ in range(24)]:
+        got = factorize(n)
+        primes = [q for q, _ in got]
+        assert primes == sorted(set(primes)) and primes[0] == 2
+        assert math.prod(q**m for q, m in got) == n
+        assert all(sympy.isprime(q) for q in primes)
+    for _ in range(6):
+        q1, q2 = sorted((prime_in(2**29, 2**31), prime_in(2**29, 2**31)))
+        assert factorize(2 * q1 * q2) == [(2, 1), (q1, 1), (q2, 1)]
+    for _ in range(2):
+        q = prime_in(2**19, 2**20)
+        assert factorize(2 * q**3) == [(2, 1), (q, 3)]
+
+
 def test_order_factorization_with_two_large_primes():
-    # p - 1 = 2 * 608681357 * 840893653: the cofactor left after trial
-    # division is a product of two primes above 10^6.
+    # p - 1 = 2 * 608681357 * 840893653: once the 2 is out, rho must split
+    # a product of two 30-bit primes.
     import sympy
 
     p = 1023672579601454243
