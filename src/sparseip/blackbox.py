@@ -28,16 +28,15 @@ _END = 255  # ends each gap's rungs in a plan; no rung reaches it
 class SparsePolynomial:
     """n variables and terms (c, e) with e of length n.
 
-    evaluate reads a private plan that is built lazily, on first use, and
-    then kept in the instance. It is four flat arrays: per variable, the
-    width of its squaring ladder (the bits of the largest gap between the
-    column's sorted distinct exponents, 0 included) and the number of
-    those gaps; per gap, the ladder rungs of its set bits; and the t*n
-    table slots. It is not a field, so ==, hash and repr see only n and
-    terms. Per column, a probe then costs bits(largest gap) - 1 squarings
-    mod p, and per distinct nonzero exponent one product of ladder entries
-    (one per set bit of the gap below it) times the previous power, reduced
-    mod p once.
+    evaluate reads a private plan, built lazily on first use and then kept
+    in the instance: per variable, the width of its squaring ladder (the
+    bits of the largest gap between the column's sorted distinct exponents,
+    0 included) and one bytes record of each gap's set-bit rungs, each gap
+    closed by _END; then the t*n table slots. It is not a field, so ==,
+    hash and repr see only n and terms. Per column, a probe costs
+    bits(largest gap) - 1 squarings mod p, and per distinct nonzero
+    exponent one product of ladder entries (one per set bit of the gap
+    below it) times the previous power, reduced mod p once.
     """
 
     n: int
@@ -53,16 +52,15 @@ class SparsePolynomial:
         return len(self.terms)
 
     @cached_property
-    def _plan(self) -> tuple[array, array, array, array]:
-        """(widths, steps, rungs, slots). Column j fills table entries
-        x_j^0 = 1 and then x_j raised to each of its steps[j] distinct
-        nonzero exponents in ascending order; the gap to the next exponent
-        is the product of the ladder entries x_j^(2^k) for k in rungs, read
-        up to an _END marker, and widths[j] is the ladder's length.
-        slots[i*n + j] is the table entry of x_j^(e_ij). Depends on no
-        prime and no point. Rungs are bytes, so exponents must be below
+    def _plan(self) -> tuple[array, list[bytes], array]:
+        """(widths, columns, slots). Column j fills table entries x_j^0 = 1
+        and then x_j to each of its distinct nonzero exponents in ascending
+        order. columns[j] holds, per gap to the next exponent, the ladder
+        indices k of its set bits and then _END; widths[j] is the ladder's
+        length. slots[i*n + j] is the table entry of x_j^(e_ij). Depends on
+        no prime and no point. Rungs are bytes, so exponents must be below
         2^254, far above any exponent below a modulus < 2^62."""
-        widths, steps, rungs, where = array("B"), array("I"), array("B"), []
+        widths, columns, where = array("B"), [], []
         start = 0
         for column in zip(*map(itemgetter(1), self.terms)):
             exps = sorted({0, *column})
@@ -72,14 +70,14 @@ class SparsePolynomial:
                 raise ValueError(f"exponents must be below 2^{_END - 1}")
             gaps = [b - a for a, b in zip(exps, exps[1:])]
             widths.append(max(gaps, default=0).bit_length())
-            steps.append(len(gaps))
+            rungs = bytearray()
             for gap in gaps:
-                rungs.extend(k for k in range(gap.bit_length()) if gap >> k & 1)
-                rungs.append(_END)
+                rungs.extend([*(k for k in range(gap.bit_length()) if gap >> k & 1), _END])
+            columns.append(bytes(rungs))
             where.append({d: start + k for k, d in enumerate(exps)})
             start += len(exps)
         slots = array("I", [w[d] for _, e in self.terms for w, d in zip(where, e)])
-        return widths, steps, rungs, slots
+        return widths, columns, slots
 
 
 def sparse_polynomial(n: int, terms: Sequence[Term], ctx: FieldContext) -> SparsePolynomial:
@@ -105,32 +103,30 @@ def evaluate(f: SparsePolynomial, point: Sequence[int], ctx: FieldContext) -> in
     The terms share each coordinate's powers. x_j climbs one squaring
     ladder x_j, x_j^2, x_j^4, ... up to bits(largest gap in its column):
     bits - 1 squarings, shared by every power of x_j (the binary method,
-    as in Brauer's 2^k-ary powering). x_j then walks up its column's sorted
-    distinct exponents (an addition sequence, Yao 1976): each step
-    multiplies the previous power by the ladder entries of the gap's set
-    bits and reduces mod p once. Then come t*n table lookups and t
-    products. Nothing is kept between points."""
+    as in Brauer's 2^k-ary powering). One flat walk over the column's plan
+    record then climbs x_j's sorted distinct exponents (an addition
+    sequence, Yao 1976): a rung multiplies the running power by its ladder
+    entry, and _END reduces it mod p and appends it to the table. Then come
+    t*n table lookups and t products. Nothing is kept between points."""
     if len(point) != f.n:
         raise ValueError("point length does not match variable count")
     p = ctx.p
-    widths, steps, rungs, slots = f._plan
+    widths, columns, slots = f._plan
     table: list[int] = []
     append = table.append
     ladder = [0] * (max(widths, default=0) + 1)
-    rung = iter(rungs)
-    for x, width, count in zip(point, widths, steps):
+    for x, width, rungs in zip(point, widths, columns):
         v = ladder[0] = x % p
         for k in range(1, width):
             ladder[k] = v = v * v % p
         v = 1
         append(v)
-        for _ in range(count):
-            for k in rung:
-                if k == _END:
-                    break
+        for k in rungs:
+            if k == _END:
+                v %= p
+                append(v)
+            else:
                 v *= ladder[k]
-            v %= p
-            append(v)
     # One iterator repeated n times: zip reads each term's n slots in turn.
     powers = map(table.__getitem__, slots)
     return sum(map(prod, zip(map(itemgetter(0), f.terms), *repeat(powers, f.n)))) % p

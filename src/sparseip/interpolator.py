@@ -79,6 +79,8 @@ def probe_sequence(
     With shift_var = k (1-based), alpha_k is replaced by alpha_k*omega.
     Points are advanced incrementally, n multiplications per step.
     """
+    if len(alpha) != len(zeta):
+        raise ValueError("alpha and zeta must have equal length")
     p = ctx.p
     mult = [a % p for a in alpha]
     if shift_var is not None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparseip.blackbox import (
+    _END,
     EvaluationOracle,
     SparsePolynomial,
     evaluate,
@@ -96,6 +97,16 @@ def test_evaluate_matches_per_term_pow(data):
     points = data.draw(st.lists(st.tuples(*[coordinate] * n), min_size=1, max_size=4))
     direct = SparsePolynomial(n, tuple(terms))
     canonical = sparse_polynomial(n, terms, ctx)
+    # One record per column (none without terms): per distinct nonzero
+    # exponent, the set bits of the gap below it, then _END.
+    _, columns, _ = direct._plan
+    assert len(columns) == (n if terms else 0)
+    for j, rungs in enumerate(columns):
+        exps = sorted({0, *(e[j] for _, e in terms)})
+        assert rungs.count(_END) == len(exps) - 1
+        gaps = [b - a for a, b in zip(exps, exps[1:])]
+        bits = [bytes(k for k, b in enumerate(reversed(bin(g)[2:])) if b == "1") for g in gaps]
+        assert rungs.split(bytes([_END])) == [*bits, b""]
     for point in points:
         expected = _evaluate_per_term(direct, point, p)
         assert evaluate(direct, point, ctx) == expected
@@ -156,9 +167,9 @@ def test_evaluate_exponent_p_minus_2_in_every_column(p):
 def test_evaluate_zero_column_beside_nonzero_ones():
     # Column 1 holds only zeros: a ladder of width 0 and no rungs.
     f = SparsePolynomial(3, ((4, (3, 0, 9)), (6, (1, 0, 0)), (8, (0, 0, 5))))
-    widths, steps, rungs, _ = f._plan
-    assert widths[1] == 0 and steps[1] == 0
-    assert len(rungs) == sum(bin(g).count("1") + 1 for g in (1, 2, 5, 4))
+    widths, columns, _ = f._plan
+    assert widths[1] == 0 and columns[1] == b""
+    assert sum(map(len, columns)) == sum(bin(g).count("1") + 1 for g in (1, 2, 5, 4))
     for ctx in LADDER_FIELDS:
         _check_against_per_term(f, ctx, [*LADDER_POINTS, (5, ctx.p - 1, 9), (0, 0, 2)])
 
@@ -166,9 +177,9 @@ def test_evaluate_zero_column_beside_nonzero_ones():
 def test_evaluate_repeated_gaps():
     # Exponents 0, 3, 6, 9 give three equal gaps of 3; terms repeat them too.
     f = SparsePolynomial(2, ((1, (0, 9)), (2, (3, 6)), (3, (6, 3)), (4, (9, 0)), (5, (3, 3))))
-    widths, steps, rungs, _ = f._plan
-    assert list(widths) == [2, 2] and list(steps) == [3, 3]
-    assert list(rungs) == [0, 1, 255] * 6
+    widths, columns, _ = f._plan
+    assert list(widths) == [2, 2]
+    assert columns == [bytes([0, 1, 255] * 3)] * 2
     for ctx in LADDER_FIELDS:
         _check_against_per_term(f, ctx, [*LADDER_POINTS, (ctx.p - 1, 7)])
 
@@ -205,7 +216,9 @@ def test_evaluation_plan_is_lazy_kept_and_invisible():
         assert evaluate(f, point, P101) == _evaluate_per_term(f, point, 101)
         if plan is None:
             plan = vars(f)["_plan"]
-            assert all(isinstance(field, array) for field in plan)  # flat, no boxed ints
+            widths, columns, slots = plan  # flat, no boxed ints
+            assert isinstance(widths, array) and isinstance(slots, array)
+            assert all(type(rungs) is bytes for rungs in columns)
         assert f._plan is plan
     assert f == twin == parsed and hash(f) == hash(twin) == hash(parsed)
     assert repr(f) == repr(twin) == repr(parsed) and "_plan" not in repr(f)

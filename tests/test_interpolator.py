@@ -184,6 +184,10 @@ def test_interpolate_rejects_bad_omega():
          "shift_var out of range"),
         (lambda: probe_sequence(_oracle(), ALPHA, ZETA, 1, P101, shift_var=1),
          "shifted run requires omega"),
+        (lambda: probe_sequence(_oracle(), (2, 3), (5,), 2, P101, omega=2, shift_var=2),
+         "alpha and zeta must have equal length"),
+        (lambda: mc_pairs(_oracle(), (2, 3), (5,), 2, P101, random.Random(0)),
+         "alpha and zeta must have equal length"),
         (lambda: interpolate(_oracle(), 0, 5, 5, P101, random.Random(0)),
          "need n >= 1, T >= 1, D >= 0"),
         (lambda: interpolate(_oracle(), 3, 0, 5, P101, random.Random(0)),
