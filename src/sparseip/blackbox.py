@@ -139,33 +139,31 @@ def poly_equal(f: SparsePolynomial, g: SparsePolynomial) -> bool:
     return f.terms == g.terms
 
 
-def _decode_monomial(code: int, n: int, base: int) -> tuple[int, ...]:
-    exps = []
-    for _ in range(n):
-        code, r = divmod(code, base)
-        exps.append(r)
-    return tuple(exps)
-
-
 def random_sparse_polynomial(
     n: int, t: int, D: int, ctx: FieldContext, rng: random.Random
 ) -> SparsePolynomial:
     """Exactly t terms with distinct monomials, exponents uniform in [0, D],
-    coefficients uniform nonzero. Deterministic under a fixed seed."""
+    coefficients uniform nonzero. Deterministic under a fixed seed: when
+    3t >= (D+1)^n, one rng.sample of t codes from range((D+1)^n), each read
+    as n base-(D+1) digits, lowest first; else n rng.randrange(D + 1) per
+    monomial until t are distinct. Then one sample_nonzero per monomial in
+    sorted order. The terms are canonical by construction (distinct, sorted,
+    reduced, nonzero), so they skip sparse_polynomial."""
     if n < 1 or t < 1 or D < 0:
         raise ValueError("need n >= 1, t >= 1, D >= 0")
-    total = (D + 1) ** n
+    base = D + 1
+    total = base**n
     if t > total:
         raise ValueError(f"cannot place {t} distinct monomials with D={D}, n={n}")
     if 3 * t >= total:
-        monomials = [_decode_monomial(c, n, D + 1) for c in rng.sample(range(total), t)]
+        codes = rng.sample(range(total), t)
+        monomials = [tuple(c // base**j % base for j in range(n)) for c in codes]
     else:
         seen: set[tuple[int, ...]] = set()
         while len(seen) < t:
-            seen.add(tuple(rng.randrange(D + 1) for _ in range(n)))
+            seen.add(tuple([rng.randrange(base) for _ in range(n)]))
         monomials = list(seen)
-    terms = [(sample_nonzero(ctx, rng), e) for e in sorted(monomials)]
-    return sparse_polynomial(n, terms, ctx)
+    return SparsePolynomial(n, tuple((sample_nonzero(ctx, rng), e) for e in sorted(monomials)))
 
 
 class EvaluationOracle:

@@ -263,13 +263,41 @@ def test_poly_equal():
         poly_equal(EXAMPLE, sparse_polynomial(2, [], P101))
 
 
-def test_random_polynomial_contract():
-    rng = random.Random(23)
-    f = random_sparse_polynomial(3, 5, 5, P101, rng)
-    assert f.term_count == 5
-    assert len({e for _, e in f.terms}) == 5
-    assert all(0 <= x <= 5 for _, e in f.terms for x in e)
+def _replay_random_polynomial(seed, n, t, D, p):
+    """The draws random_sparse_polynomial documents, from a fresh rng:
+    (terms, the rng's next random())."""
+    rng = random.Random(seed)
+    if 3 * t >= (D + 1) ** n:
+        monomials = []
+        for code in rng.sample(range((D + 1) ** n), t):
+            digits = []
+            for _ in range(n):
+                code, digit = divmod(code, D + 1)
+                digits.append(digit)
+            monomials.append(tuple(digits))
+    else:
+        seen = set()
+        while len(seen) < t:
+            seen.add(tuple(rng.randrange(D + 1) for _ in range(n)))
+        monomials = list(seen)
+    terms = tuple((rng.randrange(1, p), e) for e in sorted(monomials))
+    return terms, rng.random()
+
+
+@pytest.mark.parametrize(
+    "seed, n, t, D",
+    [(23, 3, 5, 5), (26, 2, 4, 2), (27, 1, 6, 40)],
+    ids=["sparse", "dense", "one-variable"],
+)
+def test_random_polynomial_contract(seed, n, t, D):
+    rng = random.Random(seed)
+    f = random_sparse_polynomial(n, t, D, P101, rng)
+    assert f.term_count == t
+    assert len({e for _, e in f.terms}) == t
+    assert all(0 <= x <= D for _, e in f.terms for x in e)
     assert all(1 <= c <= 100 for c, _ in f.terms)
+    assert (f.terms, rng.random()) == _replay_random_polynomial(seed, n, t, D, P101.p)
+    assert f.terms == sparse_polynomial(n, f.terms, P101).terms
 
 
 def test_random_polynomial_full_support():
